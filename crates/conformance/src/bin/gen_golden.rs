@@ -10,7 +10,7 @@
 //! a diff under version control therefore always means the reference
 //! implementation (or the corpus shape) deliberately changed.
 
-use dbi_conformance::{persist_golden, Corpus, GOLDEN_SEED};
+use dbi_conformance::{persist_golden, wire_golden, Corpus, GOLDEN_SEED};
 
 fn main() {
     let corpus = Corpus::generate(GOLDEN_SEED);
@@ -43,4 +43,16 @@ fn main() {
         snapshot.len(),
         journal.len()
     );
+
+    // The wire-format pin: every encode-family frame image.
+    let images = wire_golden::golden_wire_images();
+    let doc = wire_golden::to_hex_document(&images);
+    assert_eq!(
+        wire_golden::from_hex_document(&doc),
+        images,
+        "hex document must round-trip"
+    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/vectors/wire_v6.hex");
+    std::fs::write(path, &doc).expect("writing the wire image file");
+    println!("wrote {} wire images to {path}", images.len());
 }

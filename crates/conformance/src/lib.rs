@@ -24,6 +24,10 @@
 //! * [`persist_golden`] — checked-in golden images of the durable-store
 //!   byte formats (version-1 snapshot + journal), so the on-disk layout
 //!   cannot drift silently either.
+//! * [`wire_golden`] — checked-in golden images of every encode-family
+//!   wire frame (requests, responses and errors in all four framings,
+//!   plus decode-only v1/v2-header requests), so the protocol's byte
+//!   layout is pinned the same way.
 //!
 //! CI runs the corpus replay and a 10 000-case fuzz smoke on every push
 //! (`tests/golden.rs`, `tests/fuzz_smoke.rs`); the `conformance` binary
@@ -39,6 +43,7 @@ pub mod json;
 pub mod persist_golden;
 pub mod reference;
 pub mod replay;
+pub mod wire_golden;
 
 pub use corpus::{Corpus, GoldenVector, GOLDEN_SEED};
 pub use fuzz::{FuzzConfig, FuzzReport};
