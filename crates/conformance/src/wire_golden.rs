@@ -15,10 +15,8 @@
 
 use dbi_core::{CostBreakdown, CostWeights, InversionMask, Scheme};
 use dbi_service::wire::{
-    CostModel, EncodeBatchRequestFrame, EncodeBatchResponseFrame, EncodeRequestFrame,
-    EncodeResponseFrame, ErrorCode, ErrorFrame, Frame, PipelinedBatchRequestFrame,
-    PipelinedBatchResponseFrame, PipelinedErrorFrame, PipelinedRequestFrame,
-    PipelinedResponseFrame, VerifyMode, HEADER_LEN, LEGACY_VERSION, V2_VERSION,
+    CostModel, EncodeBatchRequestFrame, EncodeRequestFrame, EncodeResponseFrame, ErrorCode,
+    ErrorFrame, Frame, VerifyMode, COST_MODEL_WIRE_BYTES, HEADER_LEN, LEGACY_VERSION, V2_VERSION,
 };
 
 /// The checked-in golden image (hex text, one named block per frame,
@@ -131,22 +129,15 @@ pub fn golden_wire_images() -> Vec<WireImage> {
         for (index, &(want_masks, verify)) in FLAGS.iter().enumerate() {
             let payload = golden_payload(family, index);
             let request = golden_request(family, index, &payload);
-            let batch = EncodeBatchRequestFrame::from_request(&request).expect("whole bursts");
+            let count = EncodeBatchRequestFrame::from_request(&request)
+                .expect("whole bursts")
+                .count;
             let mut out = Vec::new();
-            match family {
-                0 => request.encode_into(&mut out),
-                1 => batch.encode_into(&mut out),
-                2 => PipelinedRequestFrame {
-                    request_id: request_id(family, index),
-                    request,
-                }
-                .encode_into(&mut out),
-                _ => PipelinedBatchRequestFrame {
-                    request_id: request_id(family, index),
-                    request: batch,
-                }
-                .encode_into(&mut out),
-            }
+            request.encode_framed_into(
+                &mut out,
+                (family >= 2).then(|| request_id(family, index)),
+                (family % 2 == 1).then_some(count),
+            );
             images.push(image(
                 format!("{label}.{}", flag_name(want_masks, verify)),
                 out,
@@ -179,29 +170,12 @@ pub fn golden_wire_images() -> Vec<WireImage> {
                 per_group: &per_group,
                 masks,
             };
-            let batch = EncodeBatchResponseFrame {
-                session_id: response.session_id,
-                bursts: response.bursts,
-                count: 4,
-                per_group: response.per_group,
-                masks: response.masks,
-            };
-            let id = request_id(family, usize::from(with_masks));
             let mut out = Vec::new();
-            match family {
-                0 => response.encode_into(&mut out),
-                1 => batch.encode_into(&mut out),
-                2 => PipelinedResponseFrame {
-                    request_id: id,
-                    response,
-                }
-                .encode_into(&mut out),
-                _ => PipelinedBatchResponseFrame {
-                    request_id: id,
-                    response: batch,
-                }
-                .encode_into(&mut out),
-            }
+            response.encode_framed_into(
+                &mut out,
+                (family >= 2).then(|| request_id(family, usize::from(with_masks))),
+                (family % 2 == 1).then_some(4),
+            );
             let suffix = if with_masks { "masks-on" } else { "masks-off" };
             images.push(image(format!("{label}.{suffix}"), out));
         }
@@ -217,11 +191,7 @@ pub fn golden_wire_images() -> Vec<WireImage> {
         error.encode_into(&mut out);
         images.push(image(format!("t03.error.code-{}", code as u8), out));
         let mut out = Vec::new();
-        PipelinedErrorFrame {
-            request_id: 0x0123_4567_89AB_CDEF,
-            error,
-        }
-        .encode_into(&mut out);
+        error.encode_framed_into(&mut out, Some(0x0123_4567_89AB_CDEF));
         images.push(image(
             format!("t16.pipelined-error.code-{}", code as u8),
             out,
@@ -243,7 +213,7 @@ pub fn golden_wire_images() -> Vec<WireImage> {
     let mut v1 = v1_source.bytes;
     v1[2] = LEGACY_VERSION;
     let cost_model_at = HEADER_LEN + 8 + 1 + CostWeights::WIRE_BYTES;
-    v1.drain(cost_model_at..cost_model_at + dbi_service::wire::COST_MODEL_WIRE_BYTES);
+    v1.drain(cost_model_at..cost_model_at + COST_MODEL_WIRE_BYTES);
     let body_len = (v1.len() - HEADER_LEN) as u32;
     v1[4..8].copy_from_slice(&body_len.to_le_bytes());
     images.push(WireImage {
@@ -260,141 +230,27 @@ pub fn golden_wire_images() -> Vec<WireImage> {
 #[must_use]
 pub fn reencode(frame: &Frame<'_>) -> Option<Vec<u8>> {
     let mut out = Vec::new();
-    let mut per_group: Vec<CostBreakdown> = Vec::new();
-    let mut masks: Vec<InversionMask> = Vec::new();
     match *frame {
-        Frame::EncodeRequest(view) => EncodeRequestFrame {
-            session_id: view.session_id,
-            scheme: view.scheme,
-            cost_model: view.cost_model,
-            groups: view.groups,
-            burst_len: view.burst_len,
-            want_masks: view.want_masks,
-            verify: view.verify,
-            payload: view.payload,
-        }
-        .encode_into(&mut out),
-        Frame::EncodeBatchRequest(view) => EncodeBatchRequestFrame {
-            session_id: view.session_id,
-            scheme: view.scheme,
-            cost_model: view.cost_model,
-            groups: view.groups,
-            burst_len: view.burst_len,
-            want_masks: view.want_masks,
-            verify: view.verify,
-            count: view.count,
-            payload: view.payload,
-        }
-        .encode_into(&mut out),
-        Frame::PipelinedRequest {
+        Frame::EncodeRequest {
             request_id,
-            request: view,
-        } => PipelinedRequestFrame {
+            count,
+            request,
+        } => request.encode_framed_into(&mut out, request_id, count),
+        Frame::EncodeResponse {
             request_id,
-            request: EncodeRequestFrame {
-                session_id: view.session_id,
-                scheme: view.scheme,
-                cost_model: view.cost_model,
-                groups: view.groups,
-                burst_len: view.burst_len,
-                want_masks: view.want_masks,
-                verify: view.verify,
-                payload: view.payload,
-            },
-        }
-        .encode_into(&mut out),
-        Frame::PipelinedBatchRequest {
-            request_id,
-            request: view,
-        } => PipelinedBatchRequestFrame {
-            request_id,
-            request: EncodeBatchRequestFrame {
-                session_id: view.session_id,
-                scheme: view.scheme,
-                cost_model: view.cost_model,
-                groups: view.groups,
-                burst_len: view.burst_len,
-                want_masks: view.want_masks,
-                verify: view.verify,
-                count: view.count,
-                payload: view.payload,
-            },
-        }
-        .encode_into(&mut out),
-        Frame::EncodeResponse(view) => {
-            per_group.extend(view.per_group());
-            masks.extend(view.masks());
+            response,
+        } => {
+            let per_group: Vec<CostBreakdown> = response.per_group().collect();
+            let masks: Vec<InversionMask> = response.masks().collect();
             EncodeResponseFrame {
-                session_id: view.session_id,
-                bursts: view.bursts,
+                session_id: response.session_id,
+                bursts: response.bursts,
                 per_group: &per_group,
                 masks: &masks,
             }
-            .encode_into(&mut out);
+            .encode_framed_into(&mut out, request_id, response.count);
         }
-        Frame::EncodeBatchResponse(view) => {
-            per_group.extend(view.per_group());
-            masks.extend(view.masks());
-            EncodeBatchResponseFrame {
-                session_id: view.session_id,
-                bursts: view.bursts,
-                count: view.count,
-                per_group: &per_group,
-                masks: &masks,
-            }
-            .encode_into(&mut out);
-        }
-        Frame::PipelinedResponse {
-            request_id,
-            response: view,
-        } => {
-            per_group.extend(view.per_group());
-            masks.extend(view.masks());
-            PipelinedResponseFrame {
-                request_id,
-                response: EncodeResponseFrame {
-                    session_id: view.session_id,
-                    bursts: view.bursts,
-                    per_group: &per_group,
-                    masks: &masks,
-                },
-            }
-            .encode_into(&mut out);
-        }
-        Frame::PipelinedBatchResponse {
-            request_id,
-            response: view,
-        } => {
-            per_group.extend(view.per_group());
-            masks.extend(view.masks());
-            PipelinedBatchResponseFrame {
-                request_id,
-                response: EncodeBatchResponseFrame {
-                    session_id: view.session_id,
-                    bursts: view.bursts,
-                    count: view.count,
-                    per_group: &per_group,
-                    masks: &masks,
-                },
-            }
-            .encode_into(&mut out);
-        }
-        Frame::Error(view) => ErrorFrame {
-            code: view.code,
-            message: view.message,
-        }
-        .encode_into(&mut out),
-        Frame::PipelinedError {
-            request_id,
-            error: view,
-        } => PipelinedErrorFrame {
-            request_id,
-            error: ErrorFrame {
-                code: view.code,
-                message: view.message,
-            },
-        }
-        .encode_into(&mut out),
+        Frame::Error { request_id, error } => error.encode_framed_into(&mut out, request_id),
         _ => return None,
     }
     Some(out)

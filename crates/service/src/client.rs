@@ -21,8 +21,7 @@ use crate::engine::{EncodeBatchRequest, EncodeReply, EncodeRequest};
 use crate::error::ClientError;
 use crate::telemetry::TraceEvent;
 use crate::wire::{
-    self, ErrorCode, Frame, PipelinedBatchRequestFrame, PipelinedRequestFrame, SnapshotStatus,
-    HEADER_LEN,
+    self, EncodeResponseView, ErrorCode, ErrorFrame, Frame, SnapshotStatus, HEADER_LEN,
 };
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -85,15 +84,28 @@ impl TcpClient {
         })
     }
 
-    /// Writes the frame staged in `out_buf` and reads exactly one
-    /// response frame into `in_buf` — the shared exchange of every
-    /// request method.
-    fn round_trip(&mut self) -> Result<(), ClientError> {
+    /// The shared exchange of every request method: writes the frame
+    /// `write` stages, reads exactly one response frame and hands it to
+    /// `read`. An id-free error frame becomes [`ClientError::Remote`];
+    /// any frame `read` declines is [`ClientError::UnexpectedResponse`].
+    fn call<T>(
+        &mut self,
+        write: impl FnOnce(&mut Vec<u8>),
+        read: impl FnOnce(Frame<'_>) -> Option<T>,
+    ) -> Result<T, ClientError> {
+        self.out_buf.clear();
+        write(&mut self.out_buf);
         self.stream.write_all(&self.out_buf)?;
         if !read_frame(&mut self.stream, &mut self.in_buf)? {
             return Err(closed_early().into());
         }
-        Ok(())
+        match wire::decode_frame(&self.in_buf)?.0 {
+            Frame::Error {
+                request_id: None,
+                error,
+            } => Err(remote_error(&error)),
+            frame => read(frame).ok_or(ClientError::UnexpectedResponse),
+        }
     }
 
     /// Executes one encode request over the socket. Results are written
@@ -112,20 +124,7 @@ impl TcpClient {
         request: &EncodeRequest<'_>,
         reply: &mut EncodeReply,
     ) -> Result<(), ClientError> {
-        self.out_buf.clear();
-        request.encode_into(&mut self.out_buf);
-        self.round_trip()?;
-        match wire::decode_frame(&self.in_buf)?.0 {
-            Frame::EncodeResponse(view) => {
-                if view.session_id != request.session_id {
-                    return Err(ClientError::UnexpectedResponse);
-                }
-                fill_reply(reply, view.bursts, view.per_group(), view.masks());
-                Ok(())
-            }
-            Frame::Error(view) => Err(remote_error(&view)),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
+        self.exchange(request, None, reply)
     }
 
     /// Executes one **batched** encode request over the socket: a whole
@@ -142,23 +141,34 @@ impl TcpClient {
     /// [`BadRequest`](crate::wire::ErrorCode::BadRequest).
     pub fn encode_batch(
         &mut self,
-        request: &EncodeBatchRequest<'_>,
+        batch: &EncodeBatchRequest<'_>,
         reply: &mut EncodeReply,
     ) -> Result<(), ClientError> {
-        self.out_buf.clear();
-        request.encode_into(&mut self.out_buf);
-        self.round_trip()?;
-        match wire::decode_frame(&self.in_buf)?.0 {
-            Frame::EncodeBatchResponse(view) => {
-                if view.session_id != request.session_id || view.count != request.count {
-                    return Err(ClientError::UnexpectedResponse);
+        self.exchange(&batch.request, Some(batch.count), reply)
+    }
+
+    /// The one encode path of both entry points: sends the request in
+    /// the framing `count` selects and expects the matching response,
+    /// which must echo the session id and the count.
+    fn exchange(
+        &mut self,
+        request: &EncodeRequest<'_>,
+        count: Option<u16>,
+        reply: &mut EncodeReply,
+    ) -> Result<(), ClientError> {
+        self.call(
+            |out| request.encode_framed_into(out, None, count),
+            |frame| match frame {
+                Frame::EncodeResponse {
+                    request_id: None,
+                    response,
+                } if response.session_id == request.session_id && response.count == count => {
+                    fill_reply(reply, &response);
+                    Some(())
                 }
-                fill_reply(reply, view.bursts, view.per_group(), view.masks());
-                Ok(())
-            }
-            Frame::Error(view) => Err(remote_error(&view)),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
+                _ => None,
+            },
+        )
     }
 
     /// Fetches the service's metrics snapshot as JSON.
@@ -167,14 +177,10 @@ impl TcpClient {
     ///
     /// Same failure modes as [`TcpClient::encode`].
     pub fn metrics_json(&mut self) -> Result<String, ClientError> {
-        self.out_buf.clear();
-        wire::encode_metrics_request(&mut self.out_buf);
-        self.round_trip()?;
-        match wire::decode_frame(&self.in_buf)?.0 {
-            Frame::MetricsResponse(json) => Ok(json.to_owned()),
-            Frame::Error(view) => Err(remote_error(&view)),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
+        self.call(wire::encode_metrics_request, |frame| match frame {
+            Frame::MetricsResponse(json) => Some(json.to_owned()),
+            _ => None,
+        })
     }
 
     /// Drains the service's recent trace events — up to `max_events` per
@@ -185,14 +191,13 @@ impl TcpClient {
     ///
     /// Same failure modes as [`TcpClient::metrics_json`].
     pub fn trace_dump(&mut self, max_events: u32) -> Result<Vec<TraceEvent>, ClientError> {
-        self.out_buf.clear();
-        wire::encode_trace_dump_request(&mut self.out_buf, max_events);
-        self.round_trip()?;
-        match wire::decode_frame(&self.in_buf)?.0 {
-            Frame::TraceDumpResponse(view) => Ok(view.events().collect()),
-            Frame::Error(view) => Err(remote_error(&view)),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
+        self.call(
+            |out| wire::encode_trace_dump_request(out, max_events),
+            |frame| match frame {
+                Frame::TraceDumpResponse(view) => Some(view.events().collect()),
+                _ => None,
+            },
+        )
     }
 
     /// Fetches the service's most recent slow requests (protocol 4's
@@ -203,14 +208,13 @@ impl TcpClient {
     ///
     /// Same failure modes as [`TcpClient::metrics_json`].
     pub fn slowlog(&mut self, max_entries: u32) -> Result<(u64, Vec<TraceEvent>), ClientError> {
-        self.out_buf.clear();
-        wire::encode_slowlog_request(&mut self.out_buf, max_entries);
-        self.round_trip()?;
-        match wire::decode_frame(&self.in_buf)?.0 {
-            Frame::SlowlogResponse(view) => Ok((view.threshold_ns, view.entries().collect())),
-            Frame::Error(view) => Err(remote_error(&view)),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
+        self.call(
+            |out| wire::encode_slowlog_request(out, max_entries),
+            |frame| match frame {
+                Frame::SlowlogResponse(view) => Some((view.threshold_ns, view.entries().collect())),
+                _ => None,
+            },
+        )
     }
 
     /// Asks the service to take a durable snapshot now (protocol 6's
@@ -226,9 +230,7 @@ impl TcpClient {
     /// persist directory, and `Internal` when writing the snapshot
     /// failed.
     pub fn trigger_snapshot(&mut self) -> Result<SnapshotStatus, ClientError> {
-        self.out_buf.clear();
-        wire::encode_snapshot_request(&mut self.out_buf);
-        self.admin_round_trip()
+        self.admin_call(wire::encode_snapshot_request)
     }
 
     /// Fetches the service's durability status (protocol 6's
@@ -239,9 +241,7 @@ impl TcpClient {
     ///
     /// Same failure modes as [`TcpClient::metrics_json`].
     pub fn snapshot_status(&mut self) -> Result<SnapshotStatus, ClientError> {
-        self.out_buf.clear();
-        wire::encode_snapshot_status_request(&mut self.out_buf);
-        self.admin_round_trip()
+        self.admin_call(wire::encode_snapshot_status_request)
     }
 
     /// Asks the service to reload session state from its persist
@@ -253,20 +253,16 @@ impl TcpClient {
     ///
     /// Same failure modes as [`TcpClient::trigger_snapshot`].
     pub fn restore(&mut self) -> Result<SnapshotStatus, ClientError> {
-        self.out_buf.clear();
-        wire::encode_restore_request(&mut self.out_buf);
-        self.admin_round_trip()
+        self.admin_call(wire::encode_restore_request)
     }
 
     /// Shared exchange of the three durability admin requests: sends the
-    /// staged frame, expects a snapshot-status response.
-    fn admin_round_trip(&mut self) -> Result<SnapshotStatus, ClientError> {
-        self.round_trip()?;
-        match wire::decode_frame(&self.in_buf)?.0 {
-            Frame::SnapshotStatus(status) => Ok(status),
-            Frame::Error(view) => Err(remote_error(&view)),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
+    /// frame `write` stages, expects a snapshot-status response.
+    fn admin_call(&mut self, write: fn(&mut Vec<u8>)) -> Result<SnapshotStatus, ClientError> {
+        self.call(write, |frame| match frame {
+            Frame::SnapshotStatus(status) => Some(status),
+            _ => None,
+        })
     }
 }
 
@@ -350,17 +346,7 @@ impl PipelinedClient {
     ///
     /// [`ClientError::Io`] — the transport failed mid-write.
     pub fn submit(&mut self, request: &EncodeRequest<'_>) -> Result<u64, ClientError> {
-        let request_id = self.next_id;
-        self.out_buf.clear();
-        PipelinedRequestFrame {
-            request_id,
-            request: *request,
-        }
-        .encode_into(&mut self.out_buf);
-        self.stream.write_all(&self.out_buf)?;
-        self.next_id = self.next_id.wrapping_add(1);
-        self.in_flight += 1;
-        Ok(request_id)
+        self.send(request, None)
     }
 
     /// Submits one **batched** encode request without waiting; returns
@@ -370,14 +356,20 @@ impl PipelinedClient {
     /// # Errors
     ///
     /// [`ClientError::Io`] — the transport failed mid-write.
-    pub fn submit_batch(&mut self, request: &EncodeBatchRequest<'_>) -> Result<u64, ClientError> {
+    pub fn submit_batch(&mut self, batch: &EncodeBatchRequest<'_>) -> Result<u64, ClientError> {
+        self.send(&batch.request, Some(batch.count))
+    }
+
+    /// The one encode path of both entry points: writes the request
+    /// behind the next request id, in the framing `count` selects.
+    fn send(
+        &mut self,
+        request: &EncodeRequest<'_>,
+        count: Option<u16>,
+    ) -> Result<u64, ClientError> {
         let request_id = self.next_id;
         self.out_buf.clear();
-        PipelinedBatchRequestFrame {
-            request_id,
-            request: *request,
-        }
-        .encode_into(&mut self.out_buf);
+        request.encode_framed_into(&mut self.out_buf, Some(request_id), count);
         self.stream.write_all(&self.out_buf)?;
         self.next_id = self.next_id.wrapping_add(1);
         self.in_flight += 1;
@@ -476,41 +468,27 @@ impl PipelinedClient {
             return Ok(None);
         }
         let completion = match wire::decode_frame(&avail[..total])?.0 {
-            Frame::PipelinedResponse {
-                request_id,
+            Frame::EncodeResponse {
+                request_id: Some(request_id),
                 response,
             } => {
-                fill_reply(
-                    reply,
-                    response.bursts,
-                    response.per_group(),
-                    response.masks(),
-                );
+                fill_reply(reply, &response);
                 PipelinedCompletion {
                     request_id,
                     error: None,
                 }
             }
-            Frame::PipelinedBatchResponse {
-                request_id,
-                response,
-            } => {
-                fill_reply(
-                    reply,
-                    response.bursts,
-                    response.per_group(),
-                    response.masks(),
-                );
-                PipelinedCompletion {
-                    request_id,
-                    error: None,
-                }
-            }
-            Frame::PipelinedError { request_id, error } => PipelinedCompletion {
+            Frame::Error {
+                request_id: Some(request_id),
+                error,
+            } => PipelinedCompletion {
                 request_id,
                 error: Some((error.code, error.message.to_owned())),
             },
-            Frame::Error(view) => return Err(remote_error(&view)),
+            Frame::Error {
+                request_id: None,
+                error,
+            } => return Err(remote_error(&error)),
             _ => return Err(ClientError::UnexpectedResponse),
         };
         self.parsed += total;
@@ -525,24 +503,19 @@ impl PipelinedClient {
 
 /// Refills a caller-owned reply from a decoded response's record streams,
 /// reusing its capacity.
-fn fill_reply(
-    reply: &mut EncodeReply,
-    bursts: u64,
-    per_group: impl Iterator<Item = dbi_core::CostBreakdown>,
-    masks: impl Iterator<Item = dbi_core::InversionMask>,
-) {
-    reply.bursts = bursts;
+fn fill_reply(reply: &mut EncodeReply, response: &EncodeResponseView<'_>) {
+    reply.bursts = response.bursts;
     reply.per_group.clear();
-    reply.per_group.extend(per_group);
+    reply.per_group.extend(response.per_group());
     reply.masks.clear();
-    reply.masks.extend(masks);
+    reply.masks.extend(response.masks());
 }
 
 /// Lifts a decoded error frame into the owned client error.
-fn remote_error(view: &wire::ErrorView<'_>) -> ClientError {
+fn remote_error(error: &ErrorFrame<'_>) -> ClientError {
     ClientError::Remote {
-        code: view.code,
-        message: view.message.to_owned(),
+        code: error.code,
+        message: error.message.to_owned(),
     }
 }
 

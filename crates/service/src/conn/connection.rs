@@ -12,16 +12,10 @@
 //! the connection stays open and the next frame is served.
 
 use super::ConnConfig;
-use crate::engine::{
-    Completion, CompletionSink, EncodeBatchRequest, EncodeRequest, Engine, Phase, RequestSlot,
-    SubmitOptions,
-};
+use crate::engine::{Completion, CompletionSink, Engine, Phase, RequestSlot};
 use crate::error::ServiceError;
 use crate::metrics::ConnectionMetrics;
-use crate::wire::{
-    self, EncodeBatchResponseFrame, EncodeResponseFrame, ErrorCode, ErrorFrame, Frame,
-    PipelinedBatchResponseFrame, PipelinedErrorFrame, PipelinedResponseFrame, WireError,
-};
+use crate::wire::{self, EncodeResponseFrame, ErrorCode, ErrorFrame, Frame, WireError};
 use poller::Interest;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -61,30 +55,15 @@ pub(crate) struct IoContext<'a> {
     pub(crate) slot_pool: &'a mut Vec<Arc<RequestSlot>>,
 }
 
-/// How the response to one in-flight engine submission is framed.
-#[derive(Debug, Clone, Copy)]
-enum PendingKind {
-    /// A v1–v4 plain encode request: one-in, one-out, so parsing pauses
-    /// while it is in flight.
-    Legacy,
-    /// A v1–v4 batch encode request (same ordering contract).
-    LegacyBatch { count: u16 },
-    /// A v5 pipelined encode request, answered by echoed request id.
-    Pipelined { request_id: u64 },
-    /// A v5 pipelined batch encode request.
-    PipelinedBatch { request_id: u64, count: u16 },
-}
-
-impl PendingKind {
-    fn is_legacy(self) -> bool {
-        matches!(self, PendingKind::Legacy | PendingKind::LegacyBatch { .. })
-    }
-}
-
-/// One in-flight engine submission of this connection.
+/// One in-flight engine submission of this connection. Its response is
+/// framed like the request: the request's optional fields are echoed.
 struct Pending {
     slot: Arc<RequestSlot>,
-    kind: PendingKind,
+    /// The pipelined request id; `None` for a one-in, one-out request,
+    /// which pauses parsing while it is in flight.
+    request_id: Option<u64>,
+    /// The burst count of a batch request, echoed in its response.
+    count: Option<u16>,
     /// The protocol version the request's header announced — failure
     /// responses downgrade v6-only error codes for older peers
     /// ([`ErrorCode::downgrade_for`]).
@@ -194,7 +173,7 @@ impl Connection {
             return self.after_work(ctx);
         };
         let entry = self.pending.remove(position);
-        if entry.kind.is_legacy() {
+        if entry.request_id.is_none() {
             self.legacy_in_flight = false;
         }
         {
@@ -205,44 +184,20 @@ impl Connection {
                 "completion for an unfinished slot"
             );
             match &state.result {
-                Ok(bursts) => {
-                    let response = EncodeResponseFrame {
-                        session_id: state.session_id,
-                        bursts: *bursts,
-                        per_group: &state.per_group,
-                        masks: &state.masks,
-                    };
-                    match entry.kind {
-                        PendingKind::Legacy => response.encode_into(&mut self.write_buf),
-                        PendingKind::LegacyBatch { count } => EncodeBatchResponseFrame {
-                            session_id: state.session_id,
-                            bursts: *bursts,
-                            count,
-                            per_group: &state.per_group,
-                            masks: &state.masks,
-                        }
-                        .encode_into(&mut self.write_buf),
-                        PendingKind::Pipelined { request_id } => PipelinedResponseFrame {
-                            request_id,
-                            response,
-                        }
-                        .encode_into(&mut self.write_buf),
-                        PendingKind::PipelinedBatch { request_id, count } => {
-                            PipelinedBatchResponseFrame {
-                                request_id,
-                                response: EncodeBatchResponseFrame {
-                                    session_id: state.session_id,
-                                    bursts: *bursts,
-                                    count,
-                                    per_group: &state.per_group,
-                                    masks: &state.masks,
-                                },
-                            }
-                            .encode_into(&mut self.write_buf)
-                        }
-                    }
+                Ok(bursts) => EncodeResponseFrame {
+                    session_id: state.session_id,
+                    bursts: *bursts,
+                    per_group: &state.per_group,
+                    masks: &state.masks,
                 }
-                Err(err) => queue_failure(&mut self.write_buf, entry.kind, entry.version, err),
+                .encode_framed_into(
+                    &mut self.write_buf,
+                    entry.request_id,
+                    entry.count,
+                ),
+                Err(err) => {
+                    queue_failure(&mut self.write_buf, entry.request_id, entry.version, err);
+                }
             }
         }
         self.note_queued_output(ctx)?;
@@ -405,21 +360,20 @@ fn queue_error(write_buf: &mut Vec<u8>, code: ErrorCode, message: &str) {
     ErrorFrame { code, message }.encode_into(write_buf);
 }
 
-/// Appends the failure response matching a submission's framing: plain
-/// error frames for legacy requests, id-carrying pipelined error frames
-/// for v5 requests. The code is downgraded for peers whose announced
-/// `version` predates it ([`ErrorCode::downgrade_for`]).
-fn queue_failure(write_buf: &mut Vec<u8>, kind: PendingKind, version: u8, err: &ServiceError) {
-    let error = ErrorFrame {
+/// Appends the failure response of one request, echoing its request id
+/// if it had one. The code is downgraded for peers whose
+/// announced `version` predates it ([`ErrorCode::downgrade_for`]).
+fn queue_failure(
+    write_buf: &mut Vec<u8>,
+    request_id: Option<u64>,
+    version: u8,
+    err: &ServiceError,
+) {
+    ErrorFrame {
         code: err.code().downgrade_for(version),
         message: &err.to_string(),
-    };
-    match kind {
-        PendingKind::Legacy | PendingKind::LegacyBatch { .. } => error.encode_into(write_buf),
-        PendingKind::Pipelined { request_id } | PendingKind::PipelinedBatch { request_id, .. } => {
-            PipelinedErrorFrame { request_id, error }.encode_into(write_buf)
-        }
     }
+    .encode_framed_into(write_buf, request_id);
 }
 
 /// Routes one decoded frame: encode requests into the engine's
@@ -437,120 +391,40 @@ fn dispatch_frame(
     ctx: &mut IoContext<'_>,
 ) {
     match frame {
-        Frame::EncodeRequest(view) => {
-            let request = EncodeRequest {
-                session_id: view.session_id,
-                scheme: view.scheme,
-                cost_model: view.cost_model,
-                groups: view.groups,
-                burst_len: view.burst_len,
-                want_masks: view.want_masks,
-                verify: view.verify,
-                payload: view.payload,
-            };
-            let prepared = ctx.engine.inner().prepare(&request);
-            submit_job(
-                prepared,
-                view.payload,
-                view.want_masks,
-                view.verify.is_on(),
-                PendingKind::Legacy,
-                version,
-                write_buf,
-                pending,
-                legacy_in_flight,
-                completion_token,
-                ctx,
-            );
-        }
-        Frame::EncodeBatchRequest(view) => {
-            let request = EncodeBatchRequest {
-                session_id: view.session_id,
-                scheme: view.scheme,
-                cost_model: view.cost_model,
-                groups: view.groups,
-                burst_len: view.burst_len,
-                want_masks: view.want_masks,
-                verify: view.verify,
-                count: view.count,
-                payload: view.payload,
-            };
-            let prepared = ctx.engine.inner().prepare_batch(&request);
-            submit_job(
-                prepared,
-                view.payload,
-                view.want_masks,
-                view.verify.is_on(),
-                PendingKind::LegacyBatch { count: view.count },
-                version,
-                write_buf,
-                pending,
-                legacy_in_flight,
-                completion_token,
-                ctx,
-            );
-        }
-        Frame::PipelinedRequest {
+        Frame::EncodeRequest {
             request_id,
-            request: view,
+            count,
+            request,
         } => {
-            let request = EncodeRequest {
-                session_id: view.session_id,
-                scheme: view.scheme,
-                cost_model: view.cost_model,
-                groups: view.groups,
-                burst_len: view.burst_len,
-                want_masks: view.want_masks,
-                verify: view.verify,
-                payload: view.payload,
-            };
-            let prepared = ctx.engine.inner().prepare(&request);
-            submit_job(
-                prepared,
-                view.payload,
-                view.want_masks,
-                view.verify.is_on(),
-                PendingKind::Pipelined { request_id },
-                version,
-                write_buf,
-                pending,
-                legacy_in_flight,
-                completion_token,
-                ctx,
-            );
-        }
-        Frame::PipelinedBatchRequest {
-            request_id,
-            request: view,
-        } => {
-            let request = EncodeBatchRequest {
-                session_id: view.session_id,
-                scheme: view.scheme,
-                cost_model: view.cost_model,
-                groups: view.groups,
-                burst_len: view.burst_len,
-                want_masks: view.want_masks,
-                verify: view.verify,
-                count: view.count,
-                payload: view.payload,
-            };
-            let prepared = ctx.engine.inner().prepare_batch(&request);
-            submit_job(
-                prepared,
-                view.payload,
-                view.want_masks,
-                view.verify.is_on(),
-                PendingKind::PipelinedBatch {
-                    request_id,
-                    count: view.count,
-                },
-                version,
-                write_buf,
-                pending,
-                legacy_in_flight,
-                completion_token,
-                ctx,
-            );
+            let engine = ctx.engine.inner();
+            let submitted = engine.prepare(&request, count).and_then(|(shard, key)| {
+                let slot = ctx.slot_pool.pop().unwrap_or_else(RequestSlot::new);
+                let completion = Completion {
+                    sink: Arc::clone(ctx.sink),
+                    token: completion_token,
+                };
+                match engine.submit_slot(shard, key, &request, Some(completion), &slot) {
+                    Ok(()) => Ok(slot),
+                    Err(err) => {
+                        super::recycle_slot(ctx.slot_pool, slot);
+                        Err(err)
+                    }
+                }
+            });
+            // Synchronous failures (validation, backpressure, shutdown)
+            // are answered immediately, in the request's own framing.
+            match submitted {
+                Ok(slot) => {
+                    *legacy_in_flight |= request_id.is_none();
+                    pending.push(Pending {
+                        slot,
+                        request_id,
+                        count,
+                        version,
+                    });
+                }
+                Err(err) => queue_failure(write_buf, request_id, version, &err),
+            }
         }
         Frame::MetricsRequest => {
             // The engine snapshot plus this plane's live connection
@@ -571,80 +445,19 @@ fn dispatch_frame(
         // quiesces every shard anyway, so there is nothing to overlap.
         Frame::SnapshotRequest => match ctx.engine.trigger_snapshot() {
             Ok(status) => status.encode_into(write_buf),
-            Err(err) => queue_error(
-                write_buf,
-                err.code().downgrade_for(version),
-                &err.to_string(),
-            ),
+            Err(err) => queue_failure(write_buf, None, version, &err),
         },
         Frame::SnapshotStatusRequest => {
             ctx.engine.snapshot_status().encode_into(write_buf);
         }
         Frame::RestoreRequest => match ctx.engine.restore() {
             Ok(status) => status.encode_into(write_buf),
-            Err(err) => queue_error(
-                write_buf,
-                err.code().downgrade_for(version),
-                &err.to_string(),
-            ),
+            Err(err) => queue_failure(write_buf, None, version, &err),
         },
         _ => queue_error(
             write_buf,
             ErrorCode::BadRequest,
             "only encode, metrics, telemetry and durability admin requests are accepted",
         ),
-    }
-}
-
-/// Submits one prepared request through the engine's non-blocking path,
-/// recycling a pooled slot and registering the connection's completion
-/// token; synchronous failures (validation, backpressure, shutdown) are
-/// answered immediately in the request's own framing.
-#[allow(clippy::too_many_arguments)]
-fn submit_job(
-    prepared: Result<(usize, crate::engine::RouteKey), ServiceError>,
-    payload: &[u8],
-    want_masks: bool,
-    verify: bool,
-    kind: PendingKind,
-    version: u8,
-    write_buf: &mut Vec<u8>,
-    pending: &mut Vec<Pending>,
-    legacy_in_flight: &mut bool,
-    completion_token: u64,
-    ctx: &mut IoContext<'_>,
-) {
-    let (shard, key) = match prepared {
-        Ok(route) => route,
-        Err(err) => return queue_failure(write_buf, kind, version, &err),
-    };
-    let slot = ctx.slot_pool.pop().unwrap_or_else(RequestSlot::new);
-    let options = SubmitOptions {
-        want_masks,
-        verify,
-        completion: Some(Completion {
-            sink: Arc::clone(ctx.sink),
-            token: completion_token,
-        }),
-    };
-    match ctx
-        .engine
-        .inner()
-        .submit_slot(shard, key, payload, options, &slot)
-    {
-        Ok(()) => {
-            if kind.is_legacy() {
-                *legacy_in_flight = true;
-            }
-            pending.push(Pending {
-                slot,
-                kind,
-                version,
-            });
-        }
-        Err(err) => {
-            super::recycle_slot(ctx.slot_pool, slot);
-            queue_failure(write_buf, kind, version, &err);
-        }
     }
 }

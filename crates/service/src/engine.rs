@@ -76,9 +76,7 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::persist::journal::{journal_path, JournalWriter};
 use crate::persist::{snapshot, PersistConfig, PersistPlane, RestoredSession};
 use crate::telemetry::{TelemetryRegistry, TraceEvent, TraceOutcome};
-use crate::wire::{
-    CostModel, EncodeBatchRequestFrame, EncodeRequestFrame, SnapshotStatus, VerifyMode,
-};
+use crate::wire::{CostModel, EncodeBatchRequestFrame, EncodeRequestFrame, SnapshotStatus};
 use dbi_core::persist::push_session_record;
 use dbi_core::{
     clock, BurstSlab, BusState, CostBreakdown, DbiEncoder, InversionMask, KernelKind, LaneWord,
@@ -97,9 +95,9 @@ use std::time::Duration;
 /// request can be sent either way without translation.
 pub type EncodeRequest<'a> = EncodeRequestFrame<'a>;
 
-/// The batched request type (protocol 3): a whole batch of bursts for one
-/// session under a single header. Identical to the wire frame, like
-/// [`EncodeRequest`].
+/// The batched request type (protocol 3): an [`EncodeRequest`] plus the
+/// burst-count field of its batch frame. Identical to the wire frame,
+/// like [`EncodeRequest`].
 pub type EncodeBatchRequest<'a> = EncodeBatchRequestFrame<'a>;
 
 /// Upper bound on how many further queued requests one worker pass drains
@@ -219,16 +217,6 @@ impl std::fmt::Debug for Completion {
             .field("token", &self.token)
             .finish_non_exhaustive()
     }
-}
-
-/// Per-submission options for [`EngineInner::submit_slot`], beyond the
-/// routing key and payload: the wire flags plus the optional completion
-/// registration for non-blocking submitters.
-#[derive(Debug, Default)]
-pub(crate) struct SubmitOptions {
-    pub(crate) want_masks: bool,
-    pub(crate) verify: bool,
-    pub(crate) completion: Option<Completion>,
 }
 
 /// The scratch area one client call round-trips through. All buffers are
@@ -1098,7 +1086,11 @@ impl EngineInner {
         }
     }
 
-    fn validate(&self, request: &EncodeRequest<'_>) -> Result<(), ServiceError> {
+    fn validate(
+        &self,
+        request: &EncodeRequest<'_>,
+        count: Option<u16>,
+    ) -> Result<(), ServiceError> {
         if request.groups == 0
             || request.groups > MAX_GROUPS
             || request.burst_len == 0
@@ -1123,52 +1115,60 @@ impl EngineInner {
             });
         }
         // Wire parity: whatever the engine admits must be expressible as
-        // frames in *both* directions, whatever `max_payload` is set to —
-        // otherwise a LocalClient could execute requests a TcpClient can
-        // never send, or the server could compute a response it cannot
-        // frame (one mask per burst makes responses up to 4x the payload).
+        // frames in *both* directions and in *every* framing, whatever
+        // `max_payload` is set to — otherwise a LocalClient could execute
+        // requests a TcpClient can never send, or the server could
+        // compute a response it cannot frame (one mask per burst makes
+        // responses up to 4x the payload). The largest framing carries
+        // both optional fields.
+        let bursts = request.payload.len() / usize::from(request.burst_len);
         let request_body = crate::wire::REQUEST_HEAD_LEN + request.payload.len();
         let mask_bytes = if request.want_masks {
-            (request.payload.len() / usize::from(request.burst_len)) * InversionMask::WIRE_BYTES
+            bursts * InversionMask::WIRE_BYTES
         } else {
             0
         };
         let response_body = crate::wire::RESPONSE_HEAD_LEN
             + usize::from(request.groups) * CostBreakdown::WIRE_BYTES
             + mask_bytes;
-        if request_body.max(response_body) > crate::wire::MAX_BODY_LEN {
+        if crate::wire::MAX_FRAMING_WIRE_BYTES + request_body.max(response_body)
+            > crate::wire::MAX_BODY_LEN
+        {
             return Err(ServiceError::PayloadTooLarge {
                 got: request.payload.len(),
                 max: crate::wire::MAX_BODY_LEN,
             });
         }
-        Ok(())
+        // A batch's burst-count field must agree with the payload.
+        match count {
+            Some(count) if count == 0 || usize::from(count) != bursts => {
+                Err(ServiceError::BadBatchCount {
+                    count,
+                    got: bursts as u64,
+                })
+            }
+            _ => Ok(()),
+        }
     }
 
-    /// Validates and resolves a plain encode request, yielding the shard
-    /// it routes to and the key workers coalesce on. Rejections are
-    /// counted against the target shard before returning, exactly as the
+    /// Validates and resolves an encode request — with the burst-count
+    /// field of a batch when `count` is set — yielding the shard it
+    /// routes to and the key workers pack on. Rejections are counted
+    /// against the target shard before returning, exactly as the
     /// blocking client path does.
     pub(crate) fn prepare(
         &self,
         request: &EncodeRequest<'_>,
+        count: Option<u16>,
     ) -> Result<(usize, RouteKey), ServiceError> {
         let shard = self.shard_of(request.session_id);
-        let shard_metrics = self.metrics.shard(shard);
-        if let Err(err) = self.validate(request) {
-            shard_metrics.record_reject();
-            return Err(err);
-        }
         // Resolve the cost model up front: workers (and the session map)
         // only ever see concrete weights, so two sessions whose models
         // resolve differently can never collide silently.
-        let scheme = match resolve_scheme(request.scheme, request.cost_model) {
-            Ok(scheme) => scheme,
-            Err(err) => {
-                shard_metrics.record_reject();
-                return Err(err);
-            }
-        };
+        let scheme = self
+            .validate(request, count)
+            .and_then(|()| resolve_scheme(request.scheme, request.cost_model))
+            .inspect_err(|_| self.metrics.shard(shard).record_reject())?;
         Ok((
             shard,
             RouteKey {
@@ -1180,60 +1180,11 @@ impl EngineInner {
         ))
     }
 
-    /// The batched flavour of [`EngineInner::prepare`]: same validation
-    /// over the flattened payload, plus the burst-count/payload agreement
-    /// check of the batch frame.
-    pub(crate) fn prepare_batch(
-        &self,
-        request: &EncodeBatchRequest<'_>,
-    ) -> Result<(usize, RouteKey), ServiceError> {
-        let shard = self.shard_of(request.session_id);
-        let shard_metrics = self.metrics.shard(shard);
-        let plain = EncodeRequest {
-            session_id: request.session_id,
-            scheme: request.scheme,
-            cost_model: request.cost_model,
-            groups: request.groups,
-            burst_len: request.burst_len,
-            want_masks: request.want_masks,
-            verify: request.verify,
-            payload: request.payload,
-        };
-        if let Err(err) = self.validate(&plain) {
-            shard_metrics.record_reject();
-            return Err(err);
-        }
-        // Geometry is valid, so burst_len is nonzero and the division is
-        // exact; the count field must agree with it.
-        let bursts_in_payload = (request.payload.len() / usize::from(request.burst_len)) as u64;
-        if request.count == 0 || u64::from(request.count) != bursts_in_payload {
-            shard_metrics.record_reject();
-            return Err(ServiceError::BadBatchCount {
-                count: request.count,
-                got: bursts_in_payload,
-            });
-        }
-        let scheme = match resolve_scheme(request.scheme, request.cost_model) {
-            Ok(scheme) => scheme,
-            Err(err) => {
-                shard_metrics.record_reject();
-                return Err(err);
-            }
-        };
-        Ok((
-            shard,
-            RouteKey {
-                session_id: request.session_id,
-                scheme,
-                groups: request.groups,
-                burst_len: request.burst_len,
-            },
-        ))
-    }
-
-    /// Fills a prepared slot and enqueues it on its shard without
-    /// blocking for the result. On success the worker owns the slot until
-    /// it publishes `Done` (and fires the registered completion, if any);
+    /// Fills a slot with a [`prepared`](EngineInner::prepare) request and
+    /// enqueues it on its shard without blocking for the result;
+    /// non-blocking submitters register a `completion`. On success the
+    /// worker owns the slot until it publishes `Done` (and fires the
+    /// registered completion, if any);
     /// on failure the slot is rolled back to `Idle`, the rejection is
     /// counted, and the completion — never fired — is returned to the
     /// caller inside the untouched slot.
@@ -1241,8 +1192,8 @@ impl EngineInner {
         &self,
         shard: usize,
         key: RouteKey,
-        payload: &[u8],
-        options: SubmitOptions,
+        request: &EncodeRequest<'_>,
+        completion: Option<Completion>,
         slot: &Arc<RequestSlot>,
     ) -> Result<(), ServiceError> {
         let shard_metrics = self.metrics.shard(shard);
@@ -1253,13 +1204,13 @@ impl EngineInner {
             state.scheme = key.scheme;
             state.groups = key.groups;
             state.burst_len = key.burst_len;
-            state.want_masks = options.want_masks;
-            state.verify = options.verify;
+            state.want_masks = request.want_masks;
+            state.verify = request.verify.is_on();
             state.payload.clear();
-            state.payload.extend_from_slice(payload);
+            state.payload.extend_from_slice(request.payload);
             state.request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
             state.enqueue_ns = clock::now_nanos();
-            state.completion = options.completion;
+            state.completion = completion;
             state.phase = Phase::Queued;
         }
 
@@ -1327,21 +1278,12 @@ impl LocalClient {
         request: &EncodeRequest<'_>,
         reply: &mut EncodeReply,
     ) -> Result<(), ServiceError> {
-        let (shard, key) = self.engine.prepare(request)?;
-        self.submit(
-            shard,
-            key,
-            request.want_masks,
-            request.verify,
-            request.payload,
-            reply,
-        )
+        self.run(request, None, reply)
     }
 
-    /// Executes one **batched** encode request — a whole batch of bursts
-    /// under one submission, protocol 3's `EncodeBatch` frame. Semantics
-    /// and failure modes match [`LocalClient::encode`] over the same
-    /// payload, plus:
+    /// Executes one **batched** encode request — [`LocalClient::encode`]
+    /// with the burst-count field of protocol 3's `EncodeBatch` frame
+    /// checked, plus:
     ///
     /// * [`ServiceError::BadBatchCount`] — the request's burst-count
     ///   field is zero or disagrees with the payload length.
@@ -1350,43 +1292,23 @@ impl LocalClient {
     /// the zero-allocation-when-warm guarantee.
     pub fn encode_batch(
         &mut self,
-        request: &EncodeBatchRequest<'_>,
+        batch: &EncodeBatchRequest<'_>,
         reply: &mut EncodeReply,
     ) -> Result<(), ServiceError> {
-        let (shard, key) = self.engine.prepare_batch(request)?;
-        self.submit(
-            shard,
-            key,
-            request.want_masks,
-            request.verify,
-            request.payload,
-            reply,
-        )
+        self.run(&batch.request, Some(batch.count), reply)
     }
 
-    /// The shared tail of [`LocalClient::encode`] and
-    /// [`LocalClient::encode_batch`]: round-trips the validated, resolved
-    /// request through the reusable slot.
-    fn submit(
+    /// The one encode path of both entry points: validates and resolves
+    /// the request, then round-trips it through the reusable slot.
+    fn run(
         &mut self,
-        shard: usize,
-        key: RouteKey,
-        want_masks: bool,
-        verify: VerifyMode,
-        payload: &[u8],
+        request: &EncodeRequest<'_>,
+        count: Option<u16>,
         reply: &mut EncodeReply,
     ) -> Result<(), ServiceError> {
-        self.engine.submit_slot(
-            shard,
-            key,
-            payload,
-            SubmitOptions {
-                want_masks,
-                verify: verify.is_on(),
-                completion: None,
-            },
-            &self.slot,
-        )?;
+        let (shard, key) = self.engine.prepare(request, count)?;
+        self.engine
+            .submit_slot(shard, key, request, None, &self.slot)?;
 
         let mut state = self.slot.state.lock().expect("slot mutex poisoned");
         while state.phase != Phase::Done {
@@ -2314,6 +2236,7 @@ fn raw_transitions(payload: &[u8], prev: &mut [LaneWord]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::VerifyMode;
     use dbi_core::CostWeights;
     use dbi_mem::ChannelConfig;
 

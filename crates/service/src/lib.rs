@@ -19,21 +19,22 @@
 //! ```
 //!
 //! * [`wire`] — the versioned, length-prefixed binary frame format with a
-//!   zero-copy, `unsafe`-free decoder. Protocol version 2 carries a
+//!   zero-copy, `unsafe`-free decoder. The encode operation has one
+//!   request body and one response body; its tags differ only in two
+//!   optional fields, a request id and a burst count, mapped to tags and
+//!   version gates by one table. Protocol version 2 carries a
 //!   [`CostModel`] on session setup: inline weights, raw runtime
 //!   `alpha,beta`, or a named phy operating point (`sstl15@6.4`,
-//!   `pod12@3.2`). Protocol version 3 adds the **`EncodeBatch`** frames —
-//!   a whole batch of bursts for one session under a single header (u16
-//!   burst count + contiguous payload) instead of N per-request frames —
-//!   and the request **verify bit** ([`VerifyMode`]): the engine decodes
+//!   `pod12@3.2`). Protocol version 3 adds the **burst-count field** —
+//!   a whole batch of bursts for one session under a single header
+//!   instead of N per-request frames — and the request **verify bit** ([`VerifyMode`]): the engine decodes
 //!   its own output through the receiver path
 //!   ([`dbi_mem::BusSession::decode_stream_into`]) and answers
 //!   [`wire::ErrorCode::VerifyMismatch`] on any encode/decode asymmetry.
-//!   Protocol version 5 adds **pipelining**: the `Pipelined*` frames
-//!   prefix request and response bodies with a client-chosen `u64`
-//!   request id, so one connection keeps many requests in flight and
-//!   matches responses by id — out of order across sessions, FIFO
-//!   within one. Protocol version 6 adds the **durability admin
+//!   Protocol version 5 adds **pipelining**: the request-id field
+//!   prefixes request, response and error bodies with a client-chosen
+//!   `u64`, so one connection keeps many requests in flight and matches
+//!   responses by id — out of order across sessions, FIFO within one. Protocol version 6 adds the **durability admin
 //!   frames** — trigger a snapshot, query durability status, restore
 //!   from disk — and the typed [`wire::ErrorCode::SessionLimit`]
 //!   rejection (encode-side downgraded to `Overloaded` for peers that
@@ -44,10 +45,11 @@
 //!   [`dbi_mem::BusSession`]s keyed by session id. Routing is *sticky*
 //!   (same session id → same shard), so each session's carried bus state
 //!   evolves exactly as in a serial run; results are bit-identical to
-//!   single-threaded encoding. Workers encode through the slab path
-//!   ([`dbi_core::BurstSlab`] + `encode_stream_slab_into`) and
-//!   **coalesce** queued same-session requests into one worker pass.
-//!   Queues are bounded and overflow is an explicit
+//!   single-threaded encoding. A worker pass drains a window of queued
+//!   requests from **many sessions** and packs their lane-group chains
+//!   into shared rounds, each encoded by one lanes-kernel dispatch
+//!   (`encode_lanes_into`), so even small requests fill the SIMD lane
+//!   width. Queues are bounded and overflow is an explicit
 //!   [`ServiceError::Overloaded`] response, never silent growth. Cost
 //!   models resolve to [`dbi_core::EncodePlan`]s served from one
 //!   process-wide [`dbi_core::PlanCache`] shared by every shard, so a
@@ -70,8 +72,9 @@
 //!   `connections` block. [`TcpServer::shutdown`] deterministically
 //!   joins every I/O thread and closes every connection.
 //! * [`TcpClient`] / [`PipelinedClient`] — the client sides:
-//!   `TcpClient` is the one-at-a-time v1–v4 surface (both paths return
-//!   bytes identical to [`LocalClient`]);
+//!   `TcpClient` is the one-at-a-time surface — encode requests without
+//!   a request id, plus the metrics, telemetry and durability admin
+//!   frames — returning results identical to [`LocalClient`];
 //!   [`TcpClient::encode_batch`] ships a whole batch per round trip.
 //!   `PipelinedClient` speaks v5: [`PipelinedClient::submit`] returns
 //!   the assigned request id immediately,

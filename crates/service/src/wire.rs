@@ -15,55 +15,74 @@
 //! whose body would exceed [`MAX_BODY_LEN`] are rejected before any body
 //! byte is read. All multi-byte integers are little-endian.
 //!
-//! Frame types:
+//! ## The encode operation
+//!
+//! The service runs one operation, and it has **one request body and one
+//! response body**. Its tags differ only in which of two optional fields
+//! a body carries: a `u64` **request id** in front (protocol 5,
+//! pipelining) and a `u16` **burst count** (protocol 3, batching). One
+//! table maps the `(request id?, count?)` pair to the tags and to the
+//! first version that defines them:
+//!
+//! | request id | count | request | response | error | since |
+//! |------------|-------|---------|----------|-------|-------|
+//! | –          | –     | 1       | 2        | 3     | v1    |
+//! | –          | ✓     | 6       | 7        | 3     | v3    |
+//! | ✓          | –     | 12      | 13       | 16    | v5    |
+//! | ✓          | ✓     | 14      | 15       | 16    | v5    |
+//!
+//! ```text
+//! request:  [request_id u64] session_id u64 | scheme u8 | weights 8 |
+//!           cost_model 13 | groups u16 | burst_len u8 | flags u8 |
+//!           [count u16] | payload_len u32 | payload
+//! response: [request_id u64] session_id u64 | bursts u64 | [count u16] |
+//!           group_count u16 | mask_count u32 | per-group records | masks
+//! error:    [request_id u64] code u8 | message (UTF-8)
+//! ```
+//!
+//! [`EncodeRequestFrame`] is both the written and the decoded request,
+//! [`EncodeResponseFrame`] / [`EncodeResponseView`] the written and
+//! decoded response, and [`ErrorFrame`] the error both ways. Each writes
+//! every framing through one `encode_framed_into(out, request_id, count)`;
+//! [`EncodeBatchRequestFrame`], [`PipelinedRequestFrame`] and
+//! [`PipelinedResponseFrame`] are shorthands for one framing each.
+//! [`decode_frame`] answers [`Frame::EncodeRequest`],
+//! [`Frame::EncodeResponse`] or [`Frame::Error`], with the optional
+//! fields as `Option`s.
+//!
+//! **The count field.** `count` is the total number of per-group bursts
+//! in the payload and must satisfy `count > 0` and
+//! `count · burst_len == payload_len` (violations decode to
+//! [`WireError::BadBatchCount`]). The response echoes it after the burst
+//! total. A batch carries a whole stream of bursts for one session under
+//! a single header, where a per-burst client would have sent N frames.
+//!
+//! **The request id.** The id is chosen by the client and echoed
+//! verbatim in the matching response or error, so many requests can be
+//! in flight on one connection and responses are matched **by id rather
+//! than by arrival order**. Ordering contract: responses may complete
+//! out of order *across* sessions, but requests of one session complete
+//! FIFO — sticky shard routing still serialises each session's carried
+//! bus state, so pipelined results stay bit-identical to a serial run.
+//! The id-free tags remain valid under every later header with their
+//! strict one-in-one-out semantics. Failures that cannot be attributed
+//! to one request (malformed frames, slow-consumer drops) always use the
+//! id-free error tag.
+//!
+//! ## The other frames
 //!
 //! | tag | frame | direction | since |
 //! |-----|-------|-----------|-------|
-//! | 1 | [`EncodeRequestFrame`] → [`EncodeRequestView`] | client → service | v1 |
-//! | 2 | [`EncodeResponseFrame`] → [`EncodeResponseView`] | service → client | v1 |
-//! | 3 | [`ErrorFrame`] → [`ErrorView`] | service → client | v1 |
 //! | 4 | metrics request (empty body) | client → service | v1 |
 //! | 5 | metrics response (UTF-8 JSON body) | service → client | v1 |
-//! | 6 | [`EncodeBatchRequestFrame`] → [`EncodeBatchRequestView`] | client → service | v3 |
-//! | 7 | [`EncodeBatchResponseFrame`] → [`EncodeBatchResponseView`] | service → client | v3 |
 //! | 8 | trace-dump request (`u32` max events) | client → service | v4 |
 //! | 9 | [`TraceDumpResponseView`] | service → client | v4 |
 //! | 10 | slowlog query (`u32` max entries) | client → service | v4 |
 //! | 11 | [`SlowlogResponseView`] | service → client | v4 |
-//! | 12 | [`PipelinedRequestFrame`] | client → service | v5 |
-//! | 13 | [`PipelinedResponseFrame`] | service → client | v5 |
-//! | 14 | [`PipelinedBatchRequestFrame`] | client → service | v5 |
-//! | 15 | [`PipelinedBatchResponseFrame`] | service → client | v5 |
-//! | 16 | [`PipelinedErrorFrame`] | service → client | v5 |
 //! | 17 | snapshot request (empty body) | client → service | v6 |
 //! | 18 | snapshot-status request (empty body) | client → service | v6 |
 //! | 19 | restore request (empty body) | client → service | v6 |
 //! | 20 | [`SnapshotStatus`] response | service → client | v6 |
-//!
-//! ## The v3 batch frames
-//!
-//! Protocol 3 adds the **batched data plane**: an `EncodeBatch` request
-//! carries a whole batch of bursts for one session under a single
-//! header — a `u16` burst-count field plus one contiguous payload —
-//! where a per-burst client would have sent N separate frames. The
-//! batch request body is the v2 encode-request body with the count field
-//! inserted before the payload length:
-//!
-//! ```text
-//! session_id u64 | scheme u8 | weights 8 | cost_model 13 | groups u16 |
-//! burst_len u8 | want_masks u8 | count u16 | payload_len u32 | payload
-//! ```
-//!
-//! `count` is the total number of per-group bursts in the payload and
-//! must satisfy `count > 0` and `count · burst_len == payload_len`
-//! (violations decode to [`WireError::BadBatchCount`]). The batch
-//! response is the v1 encode-response body with the request's count
-//! echoed after the burst total:
-//!
-//! ```text
-//! session_id u64 | bursts u64 | count u16 | group_count u16 |
-//! mask_count u32 | per-group records | masks
-//! ```
 //!
 //! ## The v4 telemetry frames
 //!
@@ -85,28 +104,7 @@
 //! ([`WireError::BodyMismatch`]) and every record's outcome byte must be
 //! a defined [`TraceOutcome`] ([`WireError::UnknownTraceOutcome`]) — both
 //! checked eagerly by the decoder, so the views' record iterators cannot
-//! fail. Every v1–v3 body layout is unchanged.
-//!
-//! ## The v5 pipelined frames
-//!
-//! Protocol 5 adds **pipelining**: tags 12–16 are the encode
-//! request/response pair, the batch pair and the error frame with a
-//! little-endian `u64` **request id** prefixed to the otherwise
-//! unchanged body:
-//!
-//! ```text
-//! pipelined body: request_id u64 | the corresponding v3/v4 body
-//! ```
-//!
-//! The id is chosen by the client and echoed verbatim in the matching
-//! response (or [`PipelinedErrorFrame`]), so many requests can be in
-//! flight on one connection and responses are matched **by id rather
-//! than by arrival order**. Ordering contract: responses may complete
-//! out of order *across* sessions, but requests of one session complete
-//! FIFO — sticky shard routing still serialises each session's carried
-//! bus state, so pipelined results stay bit-identical to a serial run.
-//! The non-pipelined tags remain valid under a v5 header with their
-//! strict one-in-one-out semantics.
+//! fail.
 //!
 //! ## The v6 durability admin frames
 //!
@@ -135,7 +133,7 @@
 //! selects the (α, β) source for a session — the weights embedded in the
 //! scheme (v1 semantics), raw runtime coefficients, or a named phy
 //! operating point such as `sstl15@6.4` / `pod12@3.2`. Version 3 added
-//! the batch frames and redefined the request's `want_masks` byte as a
+//! the count field and redefined the request's `want_masks` byte as a
 //! **flags** byte: bit 0 keeps its v1 `want_masks` meaning and bit 1 is
 //! the [`VerifyMode`] **verify bit** — the engine must decode its own
 //! output through the receiver path and prove the round trip before
@@ -148,11 +146,12 @@
 //!   anything else is [`WireError::UnsupportedVersion`];
 //! * a v1 encode request (no cost-model field) decodes with
 //!   [`CostModel::Inline`]; v2/v3 encode requests are byte-identical;
-//! * the batch tags (6, 7) exist only from v3 on — under a v1/v2 header
-//!   they are [`WireError::UnknownFrameType`], exactly as a genuine v1/v2
-//!   peer would treat them; the telemetry tags (8–11) exist only from v4
-//!   on, the pipelined tags (12–16) only from v5 on, and the durability
-//!   admin tags (17–20) only from v6 on, under the same rule;
+//! * every tag exists only from the version that introduced it — the
+//!   batch tags (6, 7) from v3, the telemetry tags (8–11) from v4, the
+//!   pipelined tags (12–16) from v5 and the durability admin tags
+//!   (17–20) from v6; under an older header a newer tag is
+//!   [`WireError::UnknownFrameType`], exactly as a genuine older peer
+//!   would treat it;
 //! * error-frame bodies are decoded version-blind, but the *writer*
 //!   downgrades codes a peer's announced version predates:
 //!   [`ErrorCode::SessionLimit`] (v6) travels as
@@ -169,15 +168,15 @@
 //!   accepted version.
 //!
 //! The compatibility is deliberately **receive-side only**: this build
-//! answers every peer with version-5 headers, so a strict older peer
+//! answers every peer with version-[`VERSION`] headers, so a strict older peer
 //! (whose decoder rejects any newer version byte) can be *decoded by*
 //! this service but cannot parse its replies. That keeps the frame
 //! writers version-free and is sufficient for the supported migration
 //! order — upgrade servers first, then clients; an old *frame stream*
 //! (captures, queued frames, old client builds being migrated) stays
 //! readable throughout. A client that must stay compatible with a v2
-//! server simply never sends batch frames; every non-batch frame it
-//! receives decodes under both versions' rules.
+//! server simply never sends the count field; every frame it receives
+//! in answer decodes under both versions' rules.
 //!
 //! Encoding appends to a caller-owned `Vec<u8>` (reused buffers never
 //! reallocate in steady state); decoding is **zero-copy and `unsafe`-free**:
@@ -217,10 +216,11 @@ pub const V3_VERSION: u8 = 3;
 /// accepted on decode.
 pub const V2_VERSION: u8 = 2;
 
-/// The protocol version that introduced the `EncodeBatch` frames. Batch
-/// tags under an older header are [`WireError::UnknownFrameType`] —
-/// pinned here, not to [`VERSION`], so future version bumps keep
-/// decoding version-3 batch streams.
+/// The protocol version that introduced the batch framing of the encode
+/// operation (tags 6 and 7, carrying the burst-count field). Its tags
+/// under an older header are [`WireError::UnknownFrameType`] — pinned
+/// here, not to [`VERSION`], so future version bumps keep decoding
+/// version-3 batch streams.
 pub const BATCH_MIN_VERSION: u8 = 3;
 
 /// The protocol version that turned the encode-request `want_masks` byte
@@ -237,10 +237,10 @@ pub const VERIFY_MIN_VERSION: u8 = 3;
 /// future version bumps keep decoding version-4 telemetry streams.
 pub const TELEMETRY_MIN_VERSION: u8 = 4;
 
-/// The protocol version that introduced the pipelined frames (tags
-/// 12–16): request/response pairs carrying a `u64` **request id** so
-/// many frames can be in flight per connection, matched by id rather
-/// than ordering. Their tags under an older header are
+/// The protocol version that introduced the pipelined framings of the
+/// encode operation (tags 12–16, carrying a `u64` **request id** so many
+/// frames can be in flight per connection, matched by id rather than
+/// ordering). Their tags under an older header are
 /// [`WireError::UnknownFrameType`] — pinned here, not to [`VERSION`], so
 /// future version bumps keep decoding version-5 pipelined streams.
 pub const PIPELINE_MIN_VERSION: u8 = 5;
@@ -268,55 +268,133 @@ pub const MAX_BODY_LEN: usize = 8 << 20;
 /// plus a 12-byte payload (padded so every variant is the same width).
 pub const COST_MODEL_WIRE_BYTES: usize = 13;
 
-/// Size of the request-id prefix every protocol-5 pipelined body starts
-/// with.
+/// Size of the optional request-id field that opens a pipelined encode
+/// body (protocol 5).
 pub const REQUEST_ID_WIRE_BYTES: usize = 8;
 
-/// Fixed-size prefix of a version-2 encode-request body, before the
-/// payload bytes. Public so the engine can verify an admitted request
-/// also fits a frame.
+/// Size of the optional burst-count field of a batch encode body
+/// (protocol 3).
+pub const COUNT_WIRE_BYTES: usize = 2;
+
+/// The most bytes the optional fields add to an encode body: a request
+/// id plus a burst count (the pipelined batch framing). Public so the
+/// engine can verify that whatever it admits fits a frame in every
+/// framing.
+pub const MAX_FRAMING_WIRE_BYTES: usize = REQUEST_ID_WIRE_BYTES + COUNT_WIRE_BYTES;
+
+/// Fixed-size part of a version-2 encode-request body without optional
+/// fields, before the payload bytes.
 pub const REQUEST_HEAD_LEN: usize =
     8 + 1 + CostWeights::WIRE_BYTES + COST_MODEL_WIRE_BYTES + 2 + 1 + 1 + 4;
 
-/// Fixed-size prefix of a version-1 encode-request body (no cost-model
+/// Fixed-size part of a version-1 encode-request body (no cost-model
 /// field).
 pub const V1_REQUEST_HEAD_LEN: usize = 8 + 1 + CostWeights::WIRE_BYTES + 2 + 1 + 1 + 4;
 
-/// Fixed-size prefix of an encode-response body, before the records.
-/// Public so the engine can verify an admitted request's response fits a
-/// frame.
+/// Fixed-size part of an encode-response body without optional fields,
+/// before the records.
 pub const RESPONSE_HEAD_LEN: usize = 8 + 8 + 2 + 4;
 
-/// Fixed-size prefix of a version-3 batch encode-request body, before the
-/// payload: the v2 request head plus the `u16` burst-count field.
-pub const BATCH_REQUEST_HEAD_LEN: usize = REQUEST_HEAD_LEN + 2;
-
-/// Fixed-size prefix of a version-3 batch encode-response body, before
-/// the records: the response head plus the echoed `u16` burst count.
-pub const BATCH_RESPONSE_HEAD_LEN: usize = 8 + 8 + 2 + 2 + 4;
-
-/// Frame type tags.
+/// Tags of the frames outside the encode family (whose tags live in
+/// [`FRAMINGS`]).
 mod tag {
-    pub const ENCODE_REQUEST: u8 = 1;
-    pub const ENCODE_RESPONSE: u8 = 2;
-    pub const ERROR: u8 = 3;
     pub const METRICS_REQUEST: u8 = 4;
     pub const METRICS_RESPONSE: u8 = 5;
-    pub const ENCODE_BATCH_REQUEST: u8 = 6;
-    pub const ENCODE_BATCH_RESPONSE: u8 = 7;
     pub const TRACE_DUMP_REQUEST: u8 = 8;
     pub const TRACE_DUMP_RESPONSE: u8 = 9;
     pub const SLOWLOG_REQUEST: u8 = 10;
     pub const SLOWLOG_RESPONSE: u8 = 11;
-    pub const PIPELINED_REQUEST: u8 = 12;
-    pub const PIPELINED_RESPONSE: u8 = 13;
-    pub const PIPELINED_BATCH_REQUEST: u8 = 14;
-    pub const PIPELINED_BATCH_RESPONSE: u8 = 15;
-    pub const PIPELINED_ERROR: u8 = 16;
     pub const SNAPSHOT_REQUEST: u8 = 17;
     pub const SNAPSHOT_STATUS_REQUEST: u8 = 18;
     pub const RESTORE_REQUEST: u8 = 19;
     pub const SNAPSHOT_STATUS_RESPONSE: u8 = 20;
+}
+
+/// One framing of the encode operation: which optional fields its bodies
+/// carry, the tags of its request, response and error frames, and the
+/// first protocol version defining them.
+#[derive(Debug)]
+struct Framing {
+    request_id: bool,
+    count: bool,
+    request: u8,
+    response: u8,
+    error: u8,
+    since: u8,
+}
+
+/// Every framing of the encode operation, indexed by
+/// `(request id?, count?)` — the one place the encode family's tags and
+/// version gates are written down. Both error tags serve two rows: an
+/// error carries the request id but never the count.
+const FRAMINGS: [Framing; 4] = [
+    Framing {
+        request_id: false,
+        count: false,
+        request: 1,
+        response: 2,
+        error: 3,
+        since: LEGACY_VERSION,
+    },
+    Framing {
+        request_id: false,
+        count: true,
+        request: 6,
+        response: 7,
+        error: 3,
+        since: BATCH_MIN_VERSION,
+    },
+    Framing {
+        request_id: true,
+        count: false,
+        request: 12,
+        response: 13,
+        error: 16,
+        since: PIPELINE_MIN_VERSION,
+    },
+    Framing {
+        request_id: true,
+        count: true,
+        request: 14,
+        response: 15,
+        error: 16,
+        since: PIPELINE_MIN_VERSION,
+    },
+];
+
+/// Which direction of the encode operation a tag carries.
+#[derive(Debug, Clone, Copy)]
+enum Role {
+    Request,
+    Response,
+    Error,
+}
+
+impl Framing {
+    /// The framing selected by a body's optional fields.
+    fn of(request_id: Option<u64>, count: Option<u16>) -> &'static Framing {
+        &FRAMINGS[2 * usize::from(request_id.is_some()) + usize::from(count.is_some())]
+    }
+
+    /// The role and framing of an encode-family tag (`None` for any other
+    /// tag). Error tags resolve to their count-free row.
+    fn lookup(tag: u8) -> Option<(Role, &'static Framing)> {
+        FRAMINGS.iter().find_map(|row| {
+            let role = match tag {
+                t if t == row.request => Role::Request,
+                t if t == row.response => Role::Response,
+                t if t == row.error => Role::Error,
+                _ => return None,
+            };
+            Some((role, row))
+        })
+    }
+
+    /// Bytes the optional fields add to a body of this framing.
+    fn prefix_len(&self) -> usize {
+        usize::from(self.request_id) * REQUEST_ID_WIRE_BYTES
+            + usize::from(self.count) * COUNT_WIRE_BYTES
+    }
 }
 
 /// A malformed or unsupported frame. Decoding never panics; every failure
@@ -811,7 +889,9 @@ fn push_header(out: &mut Vec<u8>, frame_type: u8, body_len: usize) {
     out.extend_from_slice(&(body_len as u32).to_le_bytes());
 }
 
-/// An encode request, in its borrowed write-side form.
+/// An encode request: the write-side frame and, equally, the decoded
+/// form — [`decode_frame`] hands one back with its payload borrowed
+/// straight from the receive buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeRequestFrame<'a> {
     /// Client-chosen session id; requests with the same id share carried
@@ -820,7 +900,8 @@ pub struct EncodeRequestFrame<'a> {
     /// The DBI scheme to encode with.
     pub scheme: Scheme,
     /// Where the session's cost coefficients come from (protocol 2); see
-    /// [`CostModel`]. [`CostModel::Inline`] reproduces v1 semantics.
+    /// [`CostModel`]. [`CostModel::Inline`] reproduces v1 semantics, and
+    /// is what every version-1 frame decodes to.
     pub cost_model: CostModel,
     /// Lane groups of the channel.
     pub groups: u16,
@@ -829,7 +910,9 @@ pub struct EncodeRequestFrame<'a> {
     /// When set, the response carries the per-burst inversion masks.
     pub want_masks: bool,
     /// Whether the engine must decode its own output and prove the round
-    /// trip before replying (protocol 3); see [`VerifyMode`].
+    /// trip before replying (protocol 3); see [`VerifyMode`]. Always
+    /// [`VerifyMode::Off`] for decoded v1/v2 frames, whose flags byte may
+    /// only carry the mask bit.
     pub verify: VerifyMode,
     /// Beat-interleaved payload bytes (byte `k` of an access travels on
     /// group `k mod groups`).
@@ -837,20 +920,31 @@ pub struct EncodeRequestFrame<'a> {
 }
 
 impl EncodeRequestFrame<'_> {
-    /// Appends the full frame (header + body) to `out`, in the
-    /// [`VERSION`]-3 layout.
+    /// Appends the plain frame (tag 1) to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(
-            out,
-            tag::ENCODE_REQUEST,
-            REQUEST_HEAD_LEN + self.payload.len(),
-        );
-        self.push_body(out);
+        self.encode_framed_into(out, None, None);
     }
 
-    /// Appends the body alone — shared with the protocol-5 pipelined
-    /// form, whose body is this one behind a request-id prefix.
-    fn push_body(&self, out: &mut Vec<u8>) {
+    /// Appends the frame in the framing its optional fields select (see
+    /// the [module documentation](self)): a `request_id` prefixes the
+    /// body (protocol 5), a `count` sits between the flags byte and the
+    /// payload length (protocol 3). The one writer of every encode
+    /// request tag.
+    pub fn encode_framed_into(
+        &self,
+        out: &mut Vec<u8>,
+        request_id: Option<u64>,
+        count: Option<u16>,
+    ) {
+        let framing = Framing::of(request_id, count);
+        push_header(
+            out,
+            framing.request,
+            framing.prefix_len() + REQUEST_HEAD_LEN + self.payload.len(),
+        );
+        if let Some(id) = request_id {
+            out.extend_from_slice(&id.to_le_bytes());
+        }
         let (tag, weights) = scheme_to_wire(self.scheme);
         out.extend_from_slice(&self.session_id.to_le_bytes());
         out.push(tag);
@@ -859,40 +953,27 @@ impl EncodeRequestFrame<'_> {
         out.extend_from_slice(&self.groups.to_le_bytes());
         out.push(self.burst_len);
         out.push(encode_request_flags(self.want_masks, self.verify));
+        if let Some(count) = count {
+            out.extend_from_slice(&count.to_le_bytes());
+        }
         out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
         out.extend_from_slice(self.payload);
     }
 }
 
-/// A decoded encode request, borrowing the receive buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncodeRequestView<'a> {
-    /// See [`EncodeRequestFrame::session_id`].
-    pub session_id: u64,
-    /// See [`EncodeRequestFrame::scheme`].
-    pub scheme: Scheme,
-    /// See [`EncodeRequestFrame::cost_model`]. Always
-    /// [`CostModel::Inline`] for version-1 frames.
-    pub cost_model: CostModel,
-    /// See [`EncodeRequestFrame::groups`].
-    pub groups: u16,
-    /// See [`EncodeRequestFrame::burst_len`].
-    pub burst_len: u8,
-    /// See [`EncodeRequestFrame::want_masks`].
-    pub want_masks: bool,
-    /// See [`EncodeRequestFrame::verify`]. Always [`VerifyMode::Off`] for
-    /// v1/v2 frames, whose flags byte may only carry the mask bit.
-    pub verify: VerifyMode,
-    /// The payload bytes, borrowed straight from the frame buffer.
-    pub payload: &'a [u8],
-}
-
-fn decode_request(body: &[u8], version: u8) -> Result<EncodeRequestView<'_>, WireError> {
-    let head_len = if version == LEGACY_VERSION {
+/// Reads an encode-request body (after any request-id prefix) in the
+/// layout `version` defines, with the burst-count field when `with_count`.
+fn read_request(
+    body: &[u8],
+    version: u8,
+    with_count: bool,
+) -> Result<(Option<u16>, EncodeRequestFrame<'_>), WireError> {
+    let legacy = version == LEGACY_VERSION;
+    let head_len = if legacy {
         V1_REQUEST_HEAD_LEN
     } else {
         REQUEST_HEAD_LEN
-    };
+    } + if with_count { COUNT_WIRE_BYTES } else { 0 };
     if body.len() < head_len {
         return Err(WireError::Truncated {
             needed: head_len,
@@ -904,7 +985,7 @@ fn decode_request(body: &[u8], version: u8) -> Result<EncodeRequestView<'_>, Wir
     let mut weights = [0u8; CostWeights::WIRE_BYTES];
     weights.copy_from_slice(&body[9..9 + CostWeights::WIRE_BYTES]);
     let mut rest = &body[9 + CostWeights::WIRE_BYTES..];
-    let cost_model = if version == LEGACY_VERSION {
+    let cost_model = if legacy {
         CostModel::Inline
     } else {
         let mut field = [0u8; COST_MODEL_WIRE_BYTES];
@@ -915,12 +996,29 @@ fn decode_request(body: &[u8], version: u8) -> Result<EncodeRequestView<'_>, Wir
     let groups = u16::from_le_bytes([rest[0], rest[1]]);
     let burst_len = rest[2];
     let (want_masks, verify) = decode_request_flags(rest[3], version)?;
-    let payload_len = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]) as usize;
+    rest = &rest[4..];
+    let count = if with_count {
+        let count = u16::from_le_bytes([rest[0], rest[1]]);
+        rest = &rest[COUNT_WIRE_BYTES..];
+        Some(count)
+    } else {
+        None
+    };
+    let payload_len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
     let payload = &body[head_len..];
     if payload.len() != payload_len {
         return Err(WireError::BodyMismatch);
     }
-    Ok(EncodeRequestView {
+    if let Some(count) = count {
+        let got = payload
+            .len()
+            .checked_div(usize::from(burst_len))
+            .unwrap_or(0);
+        if count == 0 || usize::from(count) * usize::from(burst_len) != payload.len() {
+            return Err(WireError::BadBatchCount { count, got });
+        }
+    }
+    let request = EncodeRequestFrame {
         session_id,
         scheme: scheme_from_wire(scheme_tag, weights)?,
         cost_model,
@@ -929,36 +1027,21 @@ fn decode_request(body: &[u8], version: u8) -> Result<EncodeRequestView<'_>, Wir
         want_masks,
         verify,
         payload,
-    })
+    };
+    Ok((count, request))
 }
 
 /// A batched encode request (protocol version 3): one header, one
-/// contiguous payload carrying a whole batch of bursts for a session —
-/// where a per-burst client would have sent N separate
-/// [`EncodeRequestFrame`]s. See the [module documentation](self) for the
-/// body layout and the count-field invariants.
+/// contiguous payload carrying a whole batch of bursts for a session,
+/// plus the burst-count field. See the [module documentation](self) for
+/// the count-field invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeBatchRequestFrame<'a> {
-    /// See [`EncodeRequestFrame::session_id`].
-    pub session_id: u64,
-    /// See [`EncodeRequestFrame::scheme`].
-    pub scheme: Scheme,
-    /// See [`EncodeRequestFrame::cost_model`].
-    pub cost_model: CostModel,
-    /// See [`EncodeRequestFrame::groups`].
-    pub groups: u16,
-    /// See [`EncodeRequestFrame::burst_len`].
-    pub burst_len: u8,
-    /// See [`EncodeRequestFrame::want_masks`].
-    pub want_masks: bool,
-    /// See [`EncodeRequestFrame::verify`].
-    pub verify: VerifyMode,
+    /// The request itself.
+    pub request: EncodeRequestFrame<'a>,
     /// Total per-group bursts in the payload; must equal
     /// `payload.len() / burst_len`.
     pub count: u16,
-    /// Beat-interleaved payload bytes, exactly as in
-    /// [`EncodeRequestFrame::payload`].
-    pub payload: &'a [u8],
 }
 
 impl<'a> EncodeBatchRequestFrame<'a> {
@@ -974,119 +1057,37 @@ impl<'a> EncodeBatchRequestFrame<'a> {
         }
         let count = u16::try_from(request.payload.len() / burst_len).ok()?;
         Some(EncodeBatchRequestFrame {
-            session_id: request.session_id,
-            scheme: request.scheme,
-            cost_model: request.cost_model,
-            groups: request.groups,
-            burst_len: request.burst_len,
-            want_masks: request.want_masks,
-            verify: request.verify,
+            request: *request,
             count,
-            payload: request.payload,
         })
     }
 
-    /// Appends the full frame (header + body) to `out`, in the
-    /// [`VERSION`]-3 layout.
+    /// Appends the batch frame (tag 6) to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(
-            out,
-            tag::ENCODE_BATCH_REQUEST,
-            BATCH_REQUEST_HEAD_LEN + self.payload.len(),
-        );
-        self.push_body(out);
-    }
-
-    /// Appends the body alone — shared with the protocol-5 pipelined
-    /// form.
-    fn push_body(&self, out: &mut Vec<u8>) {
-        let (tag, weights) = scheme_to_wire(self.scheme);
-        out.extend_from_slice(&self.session_id.to_le_bytes());
-        out.push(tag);
-        out.extend_from_slice(&weights.to_le_bytes());
-        self.cost_model.encode_into(out);
-        out.extend_from_slice(&self.groups.to_le_bytes());
-        out.push(self.burst_len);
-        out.push(encode_request_flags(self.want_masks, self.verify));
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.payload);
+        self.request.encode_framed_into(out, None, Some(self.count));
     }
 }
 
-/// A decoded batch encode request, borrowing the receive buffer. The
-/// count-field invariants (`count > 0`, `count · burst_len ==
-/// payload.len()`) have already been enforced by the decoder.
+/// A pipelined encode request (protocol version 5): an
+/// [`EncodeRequestFrame`] behind a client-chosen `u64` **request id**.
+/// Many of these may be in flight on one connection; the service echoes
+/// the id on the matching response or error, so responses are matched
+/// by id rather than by ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncodeBatchRequestView<'a> {
-    /// See [`EncodeBatchRequestFrame::session_id`].
-    pub session_id: u64,
-    /// See [`EncodeBatchRequestFrame::scheme`].
-    pub scheme: Scheme,
-    /// See [`EncodeBatchRequestFrame::cost_model`].
-    pub cost_model: CostModel,
-    /// See [`EncodeBatchRequestFrame::groups`].
-    pub groups: u16,
-    /// See [`EncodeBatchRequestFrame::burst_len`].
-    pub burst_len: u8,
-    /// See [`EncodeBatchRequestFrame::want_masks`].
-    pub want_masks: bool,
-    /// See [`EncodeBatchRequestFrame::verify`].
-    pub verify: VerifyMode,
-    /// See [`EncodeBatchRequestFrame::count`].
-    pub count: u16,
-    /// The payload bytes, borrowed straight from the frame buffer.
-    pub payload: &'a [u8],
+pub struct PipelinedRequestFrame<'a> {
+    /// Client-chosen id echoed by the matching response; unique among
+    /// the connection's in-flight requests.
+    pub request_id: u64,
+    /// The encode request itself.
+    pub request: EncodeRequestFrame<'a>,
 }
 
-fn decode_batch_request(body: &[u8], version: u8) -> Result<EncodeBatchRequestView<'_>, WireError> {
-    if body.len() < BATCH_REQUEST_HEAD_LEN {
-        return Err(WireError::Truncated {
-            needed: BATCH_REQUEST_HEAD_LEN,
-            got: body.len(),
-        });
+impl PipelinedRequestFrame<'_> {
+    /// Appends the pipelined frame (tag 12) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.request
+            .encode_framed_into(out, Some(self.request_id), None);
     }
-    let session_id = u64::from_le_bytes(body[..8].try_into().expect("checked length"));
-    let scheme_tag = body[8];
-    let mut weights = [0u8; CostWeights::WIRE_BYTES];
-    weights.copy_from_slice(&body[9..9 + CostWeights::WIRE_BYTES]);
-    let mut field = [0u8; COST_MODEL_WIRE_BYTES];
-    field.copy_from_slice(
-        &body[9 + CostWeights::WIRE_BYTES..9 + CostWeights::WIRE_BYTES + COST_MODEL_WIRE_BYTES],
-    );
-    let cost_model = CostModel::decode(&field)?;
-    let rest = &body[9 + CostWeights::WIRE_BYTES + COST_MODEL_WIRE_BYTES..];
-    let groups = u16::from_le_bytes([rest[0], rest[1]]);
-    let burst_len = rest[2];
-    let (want_masks, verify) = decode_request_flags(rest[3], version)?;
-    let count = u16::from_le_bytes([rest[4], rest[5]]);
-    let payload_len = u32::from_le_bytes([rest[6], rest[7], rest[8], rest[9]]) as usize;
-    let payload = &body[BATCH_REQUEST_HEAD_LEN..];
-    if payload.len() != payload_len {
-        return Err(WireError::BodyMismatch);
-    }
-    let bursts_in_payload = if burst_len == 0 {
-        0
-    } else {
-        payload.len() / usize::from(burst_len)
-    };
-    if count == 0 || usize::from(count) * usize::from(burst_len) != payload.len() {
-        return Err(WireError::BadBatchCount {
-            count,
-            got: bursts_in_payload,
-        });
-    }
-    Ok(EncodeBatchRequestView {
-        session_id,
-        scheme: scheme_from_wire(scheme_tag, weights)?,
-        cost_model,
-        groups,
-        burst_len,
-        want_masks,
-        verify,
-        count,
-        payload,
-    })
 }
 
 /// An encode response, in its borrowed write-side form.
@@ -1104,23 +1105,38 @@ pub struct EncodeResponseFrame<'a> {
 }
 
 impl EncodeResponseFrame<'_> {
-    /// Appends the full frame (header + body) to `out`.
+    /// Appends the plain frame (tag 2) to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(out, tag::ENCODE_RESPONSE, self.body_len());
-        self.push_body(out);
+        self.encode_framed_into(out, None, None);
     }
 
-    fn body_len(&self) -> usize {
-        RESPONSE_HEAD_LEN
-            + self.per_group.len() * CostBreakdown::WIRE_BYTES
-            + self.masks.len() * InversionMask::WIRE_BYTES
-    }
-
-    /// Appends the body alone — shared with the protocol-5 pipelined
-    /// form.
-    fn push_body(&self, out: &mut Vec<u8>) {
+    /// Appends the frame in the framing its optional fields select: a
+    /// `request_id` prefixes the body, a `count` (the request's, echoed)
+    /// follows the burst total. The one writer of every encode response
+    /// tag.
+    pub fn encode_framed_into(
+        &self,
+        out: &mut Vec<u8>,
+        request_id: Option<u64>,
+        count: Option<u16>,
+    ) {
+        let framing = Framing::of(request_id, count);
+        push_header(
+            out,
+            framing.response,
+            framing.prefix_len()
+                + RESPONSE_HEAD_LEN
+                + self.per_group.len() * CostBreakdown::WIRE_BYTES
+                + self.masks.len() * InversionMask::WIRE_BYTES,
+        );
+        if let Some(id) = request_id {
+            out.extend_from_slice(&id.to_le_bytes());
+        }
         out.extend_from_slice(&self.session_id.to_le_bytes());
         out.extend_from_slice(&self.bursts.to_le_bytes());
+        if let Some(count) = count {
+            out.extend_from_slice(&count.to_le_bytes());
+        }
         out.extend_from_slice(&(self.per_group.len() as u16).to_le_bytes());
         out.extend_from_slice(&(self.masks.len() as u32).to_le_bytes());
         for record in self.per_group {
@@ -1129,6 +1145,24 @@ impl EncodeResponseFrame<'_> {
         for mask in self.masks {
             out.extend_from_slice(&mask.to_le_bytes());
         }
+    }
+}
+
+/// A pipelined encode response (protocol version 5): the
+/// [`EncodeResponseFrame`] behind the request's echoed id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PipelinedResponseFrame<'a> {
+    /// Echo of the request's id.
+    pub request_id: u64,
+    /// The response itself.
+    pub response: EncodeResponseFrame<'a>,
+}
+
+impl PipelinedResponseFrame<'_> {
+    /// Appends the pipelined frame (tag 13) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.response
+            .encode_framed_into(out, Some(self.request_id), None);
     }
 }
 
@@ -1141,6 +1175,9 @@ pub struct EncodeResponseView<'a> {
     pub session_id: u64,
     /// Per-group bursts encoded by this request.
     pub bursts: u64,
+    /// Echo of the request's burst-count field; `Some` exactly for the
+    /// batch framings (tags 7 and 15).
+    pub count: Option<u16>,
     per_group_bytes: &'a [u8],
     mask_bytes: &'a [u8],
 }
@@ -1173,18 +1210,26 @@ impl<'a> EncodeResponseView<'a> {
     }
 }
 
-fn decode_response(body: &[u8]) -> Result<EncodeResponseView<'_>, WireError> {
-    if body.len() < RESPONSE_HEAD_LEN {
+/// Reads an encode-response body (after any request-id prefix), with the
+/// echoed burst-count field when `with_count`.
+fn read_response(body: &[u8], with_count: bool) -> Result<EncodeResponseView<'_>, WireError> {
+    let head_len = RESPONSE_HEAD_LEN + if with_count { COUNT_WIRE_BYTES } else { 0 };
+    if body.len() < head_len {
         return Err(WireError::Truncated {
-            needed: RESPONSE_HEAD_LEN,
+            needed: head_len,
             got: body.len(),
         });
     }
     let session_id = u64::from_le_bytes(body[..8].try_into().expect("checked length"));
     let bursts = u64::from_le_bytes(body[8..16].try_into().expect("checked length"));
-    let group_count = u16::from_le_bytes([body[16], body[17]]) as usize;
-    let mask_count = u32::from_le_bytes([body[18], body[19], body[20], body[21]]) as usize;
-    let records = &body[RESPONSE_HEAD_LEN..];
+    let (count, rest) = if with_count {
+        (Some(u16::from_le_bytes([body[16], body[17]])), &body[18..])
+    } else {
+        (None, &body[16..])
+    };
+    let group_count = u16::from_le_bytes([rest[0], rest[1]]) as usize;
+    let mask_count = u32::from_le_bytes([rest[2], rest[3], rest[4], rest[5]]) as usize;
+    let records = &body[head_len..];
     let group_bytes = group_count
         .checked_mul(CostBreakdown::WIRE_BYTES)
         .ok_or(WireError::BodyMismatch)?;
@@ -1201,137 +1246,14 @@ fn decode_response(body: &[u8]) -> Result<EncodeResponseView<'_>, WireError> {
     Ok(EncodeResponseView {
         session_id,
         bursts,
-        per_group_bytes: &records[..group_bytes],
-        mask_bytes: &records[group_bytes..],
-    })
-}
-
-/// A batched encode response (protocol version 3): the encode response
-/// with the request's burst count echoed, answering an
-/// [`EncodeBatchRequestFrame`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncodeBatchResponseFrame<'a> {
-    /// Echo of the request's session id.
-    pub session_id: u64,
-    /// Per-group bursts encoded by this batch.
-    pub bursts: u64,
-    /// Echo of the request's burst-count field.
-    pub count: u16,
-    /// Activity added by this batch, one record per lane group.
-    pub per_group: &'a [CostBreakdown],
-    /// Per-burst inversion decisions in transmission order; empty unless
-    /// the request set `want_masks`.
-    pub masks: &'a [InversionMask],
-}
-
-impl EncodeBatchResponseFrame<'_> {
-    /// Appends the full frame (header + body) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(out, tag::ENCODE_BATCH_RESPONSE, self.body_len());
-        self.push_body(out);
-    }
-
-    fn body_len(&self) -> usize {
-        BATCH_RESPONSE_HEAD_LEN
-            + self.per_group.len() * CostBreakdown::WIRE_BYTES
-            + self.masks.len() * InversionMask::WIRE_BYTES
-    }
-
-    /// Appends the body alone — shared with the protocol-5 pipelined
-    /// form.
-    fn push_body(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.session_id.to_le_bytes());
-        out.extend_from_slice(&self.bursts.to_le_bytes());
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&(self.per_group.len() as u16).to_le_bytes());
-        out.extend_from_slice(&(self.masks.len() as u32).to_le_bytes());
-        for record in self.per_group {
-            out.extend_from_slice(&record.to_le_bytes());
-        }
-        for mask in self.masks {
-            out.extend_from_slice(&mask.to_le_bytes());
-        }
-    }
-}
-
-/// A decoded batch encode response. Like [`EncodeResponseView`], the
-/// record streams stay in the receive buffer and decode lazily.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncodeBatchResponseView<'a> {
-    /// Echo of the request's session id.
-    pub session_id: u64,
-    /// Per-group bursts encoded by this batch.
-    pub bursts: u64,
-    /// Echo of the request's burst-count field.
-    pub count: u16,
-    per_group_bytes: &'a [u8],
-    mask_bytes: &'a [u8],
-}
-
-impl<'a> EncodeBatchResponseView<'a> {
-    /// Number of lane-group records.
-    #[must_use]
-    pub fn group_count(&self) -> usize {
-        self.per_group_bytes.len() / CostBreakdown::WIRE_BYTES
-    }
-
-    /// Number of inversion masks.
-    #[must_use]
-    pub fn mask_count(&self) -> usize {
-        self.mask_bytes.len() / InversionMask::WIRE_BYTES
-    }
-
-    /// The per-group activity records, decoded from the borrowed bytes.
-    pub fn per_group(&self) -> impl Iterator<Item = CostBreakdown> + 'a {
-        self.per_group_bytes
-            .chunks_exact(CostBreakdown::WIRE_BYTES)
-            .map(|chunk| CostBreakdown::from_le_bytes(chunk.try_into().expect("exact chunks")))
-    }
-
-    /// The per-burst inversion masks, decoded from the borrowed bytes.
-    pub fn masks(&self) -> impl Iterator<Item = InversionMask> + 'a {
-        self.mask_bytes
-            .chunks_exact(InversionMask::WIRE_BYTES)
-            .map(|chunk| InversionMask::from_le_bytes(chunk.try_into().expect("exact chunks")))
-    }
-}
-
-fn decode_batch_response(body: &[u8]) -> Result<EncodeBatchResponseView<'_>, WireError> {
-    if body.len() < BATCH_RESPONSE_HEAD_LEN {
-        return Err(WireError::Truncated {
-            needed: BATCH_RESPONSE_HEAD_LEN,
-            got: body.len(),
-        });
-    }
-    let session_id = u64::from_le_bytes(body[..8].try_into().expect("checked length"));
-    let bursts = u64::from_le_bytes(body[8..16].try_into().expect("checked length"));
-    let count = u16::from_le_bytes([body[16], body[17]]);
-    let group_count = u16::from_le_bytes([body[18], body[19]]) as usize;
-    let mask_count = u32::from_le_bytes([body[20], body[21], body[22], body[23]]) as usize;
-    let records = &body[BATCH_RESPONSE_HEAD_LEN..];
-    let group_bytes = group_count
-        .checked_mul(CostBreakdown::WIRE_BYTES)
-        .ok_or(WireError::BodyMismatch)?;
-    let mask_bytes = mask_count
-        .checked_mul(InversionMask::WIRE_BYTES)
-        .ok_or(WireError::BodyMismatch)?;
-    if records.len()
-        != group_bytes
-            .checked_add(mask_bytes)
-            .ok_or(WireError::BodyMismatch)?
-    {
-        return Err(WireError::BodyMismatch);
-    }
-    Ok(EncodeBatchResponseView {
-        session_id,
-        bursts,
         count,
         per_group_bytes: &records[..group_bytes],
         mask_bytes: &records[group_bytes..],
     })
 }
 
-/// An error response, in its borrowed write-side form.
+/// An error response: the write-side frame and, equally, the decoded
+/// form (its message borrowed from the receive buffer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ErrorFrame<'a> {
     /// The typed error code.
@@ -1341,167 +1263,81 @@ pub struct ErrorFrame<'a> {
 }
 
 impl ErrorFrame<'_> {
-    /// Appends the full frame (header + body) to `out`.
+    /// Appends the plain frame (tag 3) to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(out, tag::ERROR, 1 + self.message.len());
+        self.encode_framed_into(out, None);
+    }
+
+    /// Appends the frame behind the failed request's echoed id when
+    /// `request_id` is set (tag 16, protocol 5), so a failure among many
+    /// in-flight requests still lands on the right caller. Failures that
+    /// cannot be attributed to one request (malformed frames,
+    /// slow-consumer drops) use the plain form.
+    pub fn encode_framed_into(&self, out: &mut Vec<u8>, request_id: Option<u64>) {
+        let framing = Framing::of(request_id, None);
+        push_header(
+            out,
+            framing.error,
+            framing.prefix_len() + 1 + self.message.len(),
+        );
+        if let Some(id) = request_id {
+            out.extend_from_slice(&id.to_le_bytes());
+        }
         out.push(self.code as u8);
         out.extend_from_slice(self.message.as_bytes());
     }
 }
 
-/// A decoded error response, borrowing the receive buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ErrorView<'a> {
-    /// The typed error code.
-    pub code: ErrorCode,
-    /// Human-readable detail, borrowed from the frame buffer.
-    pub message: &'a str,
-}
-
-fn decode_error(body: &[u8]) -> Result<ErrorView<'_>, WireError> {
+fn read_error(body: &[u8]) -> Result<ErrorFrame<'_>, WireError> {
     let (&code, message) = body
         .split_first()
         .ok_or(WireError::Truncated { needed: 1, got: 0 })?;
-    Ok(ErrorView {
+    Ok(ErrorFrame {
         code: ErrorCode::from_u8(code)?,
         message: core::str::from_utf8(message).map_err(|_| WireError::BadUtf8)?,
     })
 }
 
-/// Splits the `u64` request-id prefix off a protocol-5 pipelined body.
-fn split_request_id(body: &[u8]) -> Result<(u64, &[u8]), WireError> {
-    if body.len() < REQUEST_ID_WIRE_BYTES {
-        return Err(WireError::Truncated {
-            needed: REQUEST_ID_WIRE_BYTES,
-            got: body.len(),
-        });
-    }
-    let id = u64::from_le_bytes(body[..REQUEST_ID_WIRE_BYTES].try_into().expect("checked"));
-    Ok((id, &body[REQUEST_ID_WIRE_BYTES..]))
-}
-
-/// A pipelined encode request (protocol version 5): an
-/// [`EncodeRequestFrame`] behind a client-chosen `u64` **request id**.
-/// Many of these may be in flight on one connection; the service echoes
-/// the id on the matching [`PipelinedResponseFrame`] (or
-/// [`PipelinedErrorFrame`]), so responses are matched by id rather than
-/// by ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelinedRequestFrame<'a> {
-    /// Client-chosen id echoed by the matching response; unique among
-    /// the connection's in-flight requests.
-    pub request_id: u64,
-    /// The encode request itself, in its unchanged v3 body layout.
-    pub request: EncodeRequestFrame<'a>,
-}
-
-impl PipelinedRequestFrame<'_> {
-    /// Appends the full frame (header + body) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(
-            out,
-            tag::PIPELINED_REQUEST,
-            REQUEST_ID_WIRE_BYTES + REQUEST_HEAD_LEN + self.request.payload.len(),
-        );
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        self.request.push_body(out);
-    }
-}
-
-/// A pipelined batch encode request (protocol version 5): the
-/// [`EncodeBatchRequestFrame`] body behind a `u64` request id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelinedBatchRequestFrame<'a> {
-    /// See [`PipelinedRequestFrame::request_id`].
-    pub request_id: u64,
-    /// The batch request itself, in its unchanged v3 body layout.
-    pub request: EncodeBatchRequestFrame<'a>,
-}
-
-impl PipelinedBatchRequestFrame<'_> {
-    /// Appends the full frame (header + body) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(
-            out,
-            tag::PIPELINED_BATCH_REQUEST,
-            REQUEST_ID_WIRE_BYTES + BATCH_REQUEST_HEAD_LEN + self.request.payload.len(),
-        );
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        self.request.push_body(out);
-    }
-}
-
-/// A pipelined encode response (protocol version 5): the
-/// [`EncodeResponseFrame`] body behind the request's echoed id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelinedResponseFrame<'a> {
-    /// Echo of the request's id.
-    pub request_id: u64,
-    /// The response itself, in its unchanged v1 body layout.
-    pub response: EncodeResponseFrame<'a>,
-}
-
-impl PipelinedResponseFrame<'_> {
-    /// Appends the full frame (header + body) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(
-            out,
-            tag::PIPELINED_RESPONSE,
-            REQUEST_ID_WIRE_BYTES + self.response.body_len(),
-        );
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        self.response.push_body(out);
-    }
-}
-
-/// A pipelined batch encode response (protocol version 5): the
-/// [`EncodeBatchResponseFrame`] body behind the request's echoed id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelinedBatchResponseFrame<'a> {
-    /// Echo of the request's id.
-    pub request_id: u64,
-    /// The batch response itself, in its unchanged v3 body layout.
-    pub response: EncodeBatchResponseFrame<'a>,
-}
-
-impl PipelinedBatchResponseFrame<'_> {
-    /// Appends the full frame (header + body) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(
-            out,
-            tag::PIPELINED_BATCH_RESPONSE,
-            REQUEST_ID_WIRE_BYTES + self.response.body_len(),
-        );
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        self.response.push_body(out);
-    }
-}
-
-/// A pipelined error response (protocol version 5): an [`ErrorFrame`]
-/// behind the failed request's echoed id, so a failure among many
-/// in-flight requests still lands on the right caller. Connection-level
-/// failures that cannot be attributed to one request (malformed frames,
-/// slow-consumer drops) keep using the plain [`ErrorFrame`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelinedErrorFrame<'a> {
-    /// Echo of the failed request's id.
-    pub request_id: u64,
-    /// The typed error itself, in its unchanged v1 body layout.
-    pub error: ErrorFrame<'a>,
-}
-
-impl PipelinedErrorFrame<'_> {
-    /// Appends the full frame (header + body) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(
-            out,
-            tag::PIPELINED_ERROR,
-            REQUEST_ID_WIRE_BYTES + 1 + self.error.message.len(),
-        );
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        out.push(self.error.code as u8);
-        out.extend_from_slice(self.error.message.as_bytes());
-    }
+/// Decodes an encode-family frame — any tag of the [`FRAMINGS`] table
+/// the header's version defines — into the one request, response or
+/// error shape.
+fn decode_encode_frame(tag: u8, version: u8, body: &[u8]) -> Result<Frame<'_>, WireError> {
+    let Some((role, framing)) = Framing::lookup(tag).filter(|(_, row)| version >= row.since) else {
+        return Err(WireError::UnknownFrameType(tag));
+    };
+    let (request_id, body) = if framing.request_id {
+        if body.len() < REQUEST_ID_WIRE_BYTES {
+            return Err(WireError::Truncated {
+                needed: REQUEST_ID_WIRE_BYTES,
+                got: body.len(),
+            });
+        }
+        let (id, rest) = body.split_at(REQUEST_ID_WIRE_BYTES);
+        (
+            Some(u64::from_le_bytes(id.try_into().expect("split length"))),
+            rest,
+        )
+    } else {
+        (None, body)
+    };
+    Ok(match role {
+        Role::Request => {
+            let (count, request) = read_request(body, version, framing.count)?;
+            Frame::EncodeRequest {
+                request_id,
+                count,
+                request,
+            }
+        }
+        Role::Response => Frame::EncodeResponse {
+            request_id,
+            response: read_response(body, framing.count)?,
+        },
+        Role::Error => Frame::Error {
+            request_id,
+            error: read_error(body)?,
+        },
+    })
 }
 
 /// The durability plane's answer to every v6 admin request (trigger
@@ -1764,20 +1600,37 @@ fn decode_slowlog_response(body: &[u8]) -> Result<SlowlogResponseView<'_>, WireE
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Frame<'a> {
-    /// A client encode request.
-    EncodeRequest(EncodeRequestView<'a>),
-    /// A service encode response.
-    EncodeResponse(EncodeResponseView<'a>),
+    /// A client encode request, in any of its four framings.
+    EncodeRequest {
+        /// The client-chosen request id of a pipelined framing (tags 12
+        /// and 14); `None` for the one-in-one-out tags 1 and 6.
+        request_id: Option<u64>,
+        /// The burst-count field of a batch framing (tags 6 and 14),
+        /// already checked against the payload; `None` otherwise.
+        count: Option<u16>,
+        /// The request itself, its payload borrowed from the buffer.
+        request: EncodeRequestFrame<'a>,
+    },
+    /// A service encode response, in any of its four framings (the
+    /// echoed count, if any, is [`EncodeResponseView::count`]).
+    EncodeResponse {
+        /// Echo of a pipelined request's id (tags 13 and 15).
+        request_id: Option<u64>,
+        /// The response body.
+        response: EncodeResponseView<'a>,
+    },
     /// A service error response.
-    Error(ErrorView<'a>),
+    Error {
+        /// Echo of the failed pipelined request's id (tag 16); `None`
+        /// for the plain form (tag 3).
+        request_id: Option<u64>,
+        /// The typed error.
+        error: ErrorFrame<'a>,
+    },
     /// A client metrics request.
     MetricsRequest,
     /// A service metrics response: the JSON snapshot text.
     MetricsResponse(&'a str),
-    /// A client batch encode request (protocol 3).
-    EncodeBatchRequest(EncodeBatchRequestView<'a>),
-    /// A service batch encode response (protocol 3).
-    EncodeBatchResponse(EncodeBatchResponseView<'a>),
     /// A client trace-dump request: the maximum events wanted per shard
     /// (protocol 4).
     TraceDumpRequest(u32),
@@ -1787,44 +1640,6 @@ pub enum Frame<'a> {
     SlowlogRequest(u32),
     /// A service slowlog response (protocol 4).
     SlowlogResponse(SlowlogResponseView<'a>),
-    /// A pipelined client encode request (protocol 5), matched to its
-    /// response by `request_id` instead of arrival order.
-    PipelinedRequest {
-        /// The client-chosen request id.
-        request_id: u64,
-        /// The request body, unchanged from the non-pipelined form.
-        request: EncodeRequestView<'a>,
-    },
-    /// A pipelined service encode response (protocol 5).
-    PipelinedResponse {
-        /// Echo of the request's id.
-        request_id: u64,
-        /// The response body, unchanged from the non-pipelined form.
-        response: EncodeResponseView<'a>,
-    },
-    /// A pipelined client batch encode request (protocol 5).
-    PipelinedBatchRequest {
-        /// The client-chosen request id.
-        request_id: u64,
-        /// The batch request body, unchanged from the non-pipelined form.
-        request: EncodeBatchRequestView<'a>,
-    },
-    /// A pipelined service batch encode response (protocol 5).
-    PipelinedBatchResponse {
-        /// Echo of the request's id.
-        request_id: u64,
-        /// The batch response body, unchanged from the non-pipelined
-        /// form.
-        response: EncodeBatchResponseView<'a>,
-    },
-    /// A pipelined service error response (protocol 5), attributed to
-    /// one in-flight request by its echoed id.
-    PipelinedError {
-        /// Echo of the failed request's id.
-        request_id: u64,
-        /// The typed error body, unchanged from the non-pipelined form.
-        error: ErrorView<'a>,
-    },
     /// A client request to snapshot the durable session plane
     /// (protocol 6).
     SnapshotRequest,
@@ -1857,9 +1672,6 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame<'_>, usize), WireError> {
     }
     let body = &bytes[HEADER_LEN..total];
     let frame = match header.frame_type {
-        tag::ENCODE_REQUEST => Frame::EncodeRequest(decode_request(body, header.version)?),
-        tag::ENCODE_RESPONSE => Frame::EncodeResponse(decode_response(body)?),
-        tag::ERROR => Frame::Error(decode_error(body)?),
         tag::METRICS_REQUEST => {
             if !body.is_empty() {
                 return Err(WireError::BodyMismatch);
@@ -1869,16 +1681,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame<'_>, usize), WireError> {
         tag::METRICS_RESPONSE => {
             Frame::MetricsResponse(core::str::from_utf8(body).map_err(|_| WireError::BadUtf8)?)
         }
-        // The batch tags exist only from protocol 3 on; under an older
-        // version header they are exactly as unknown as they would be to
-        // a genuine v1/v2 peer.
-        tag::ENCODE_BATCH_REQUEST if header.version >= BATCH_MIN_VERSION => {
-            Frame::EncodeBatchRequest(decode_batch_request(body, header.version)?)
-        }
-        tag::ENCODE_BATCH_RESPONSE if header.version >= BATCH_MIN_VERSION => {
-            Frame::EncodeBatchResponse(decode_batch_response(body)?)
-        }
-        // The telemetry tags exist only from protocol 4 on, same rule.
+        // The telemetry tags exist only from protocol 4 on; under an
+        // older version header they are exactly as unknown as they would
+        // be to a genuine older peer.
         tag::TRACE_DUMP_REQUEST if header.version >= TELEMETRY_MIN_VERSION => {
             Frame::TraceDumpRequest(decode_telemetry_bound(body)?)
         }
@@ -1892,42 +1697,6 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame<'_>, usize), WireError> {
         }
         tag::SLOWLOG_RESPONSE if header.version >= TELEMETRY_MIN_VERSION => {
             Frame::SlowlogResponse(decode_slowlog_response(body)?)
-        }
-        // The pipelined tags exist only from protocol 5 on, same rule.
-        tag::PIPELINED_REQUEST if header.version >= PIPELINE_MIN_VERSION => {
-            let (request_id, rest) = split_request_id(body)?;
-            Frame::PipelinedRequest {
-                request_id,
-                request: decode_request(rest, header.version)?,
-            }
-        }
-        tag::PIPELINED_RESPONSE if header.version >= PIPELINE_MIN_VERSION => {
-            let (request_id, rest) = split_request_id(body)?;
-            Frame::PipelinedResponse {
-                request_id,
-                response: decode_response(rest)?,
-            }
-        }
-        tag::PIPELINED_BATCH_REQUEST if header.version >= PIPELINE_MIN_VERSION => {
-            let (request_id, rest) = split_request_id(body)?;
-            Frame::PipelinedBatchRequest {
-                request_id,
-                request: decode_batch_request(rest, header.version)?,
-            }
-        }
-        tag::PIPELINED_BATCH_RESPONSE if header.version >= PIPELINE_MIN_VERSION => {
-            let (request_id, rest) = split_request_id(body)?;
-            Frame::PipelinedBatchResponse {
-                request_id,
-                response: decode_batch_response(rest)?,
-            }
-        }
-        tag::PIPELINED_ERROR if header.version >= PIPELINE_MIN_VERSION => {
-            let (request_id, rest) = split_request_id(body)?;
-            Frame::PipelinedError {
-                request_id,
-                error: decode_error(rest)?,
-            }
         }
         // The durability admin tags exist only from protocol 6 on, same
         // rule.
@@ -1952,7 +1721,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame<'_>, usize), WireError> {
         tag::SNAPSHOT_STATUS_RESPONSE if header.version >= DURABILITY_MIN_VERSION => {
             Frame::SnapshotStatus(decode_snapshot_status(body)?)
         }
-        other => return Err(WireError::UnknownFrameType(other)),
+        // Everything else is an encode-family tag (gated by the version
+        // its framing row names) or unknown.
+        other => decode_encode_frame(other, header.version, body)?,
     };
     Ok((frame, total))
 }
@@ -1978,9 +1749,15 @@ mod tests {
         frame.encode_into(&mut buf);
         let (decoded, consumed) = decode_frame(&buf).unwrap();
         assert_eq!(consumed, buf.len());
-        let Frame::EncodeRequest(view) = decoded else {
+        let Frame::EncodeRequest {
+            request_id: None,
+            count: None,
+            request: view,
+        } = decoded
+        else {
             panic!("wrong frame type");
         };
+        assert_eq!(view, frame);
         assert_eq!(view.session_id, 0xAB);
         assert_eq!(view.scheme, frame.scheme);
         assert_eq!((view.groups, view.burst_len, view.want_masks), (4, 8, true));
@@ -2004,10 +1781,17 @@ mod tests {
         };
         let mut buf = Vec::new();
         frame.encode_into(&mut buf);
-        let (Frame::EncodeResponse(view), _) = decode_frame(&buf).unwrap() else {
+        let (
+            Frame::EncodeResponse {
+                request_id: None,
+                response: view,
+            },
+            _,
+        ) = decode_frame(&buf).unwrap()
+        else {
             panic!("wrong frame type");
         };
-        assert_eq!((view.session_id, view.bursts), (7, 16));
+        assert_eq!((view.session_id, view.bursts, view.count), (7, 16, None));
         assert_eq!(view.group_count(), 2);
         assert_eq!(view.mask_count(), 2);
         assert_eq!(view.per_group().collect::<Vec<_>>(), per_group);
@@ -2025,7 +1809,14 @@ mod tests {
         encode_metrics_request(&mut buf);
         encode_metrics_response(&mut buf, "{\"requests\":1}");
 
-        let (Frame::Error(err), n1) = decode_frame(&buf).unwrap() else {
+        let (
+            Frame::Error {
+                request_id: None,
+                error: err,
+            },
+            n1,
+        ) = decode_frame(&buf).unwrap()
+        else {
             panic!("wrong frame type");
         };
         assert_eq!(err.code, ErrorCode::Overloaded);
@@ -2166,7 +1957,7 @@ mod tests {
         let mut buf = Vec::new();
         frame.encode_into(&mut buf);
         assert_eq!(buf[FLAGS_AT], 0b10, "verify alone sets only bit 1");
-        let (Frame::EncodeRequest(view), _) = decode_frame(&buf).unwrap() else {
+        let (Frame::EncodeRequest { request: view, .. }, _) = decode_frame(&buf).unwrap() else {
             panic!("wrong frame type");
         };
         assert_eq!(view.verify, VerifyMode::RoundTrip);
@@ -2180,17 +1971,25 @@ mod tests {
         }
         .encode_into(&mut buf);
         assert_eq!(buf[FLAGS_AT], 0b11);
-        let (Frame::EncodeRequest(view), _) = decode_frame(&buf).unwrap() else {
+        let (Frame::EncodeRequest { request: view, .. }, _) = decode_frame(&buf).unwrap() else {
             panic!("wrong frame type");
         };
         assert!(view.want_masks && view.verify.is_on());
 
         // The batch frame carries the same flags byte.
         let batch = EncodeBatchRequestFrame::from_request(&frame).unwrap();
-        assert_eq!(batch.verify, VerifyMode::RoundTrip);
+        assert_eq!(batch.request.verify, VerifyMode::RoundTrip);
         let mut buf = Vec::new();
         batch.encode_into(&mut buf);
-        let (Frame::EncodeBatchRequest(view), _) = decode_frame(&buf).unwrap() else {
+        let (
+            Frame::EncodeRequest {
+                count: Some(_),
+                request: view,
+                ..
+            },
+            _,
+        ) = decode_frame(&buf).unwrap()
+        else {
             panic!("wrong frame type");
         };
         assert_eq!(view.verify, VerifyMode::RoundTrip);
@@ -2239,7 +2038,7 @@ mod tests {
         // A v1 want_masks byte of exactly 1 still decodes (bit 0 keeps
         // its meaning)...
         let mut v1 = encode_v1_request(1, Scheme::Raw, 1, 8, true, &payload);
-        let (Frame::EncodeRequest(view), _) = decode_frame(&v1).unwrap() else {
+        let (Frame::EncodeRequest { request: view, .. }, _) = decode_frame(&v1).unwrap() else {
             panic!("wrong frame type");
         };
         assert!(view.want_masks);
@@ -2269,19 +2068,26 @@ mod tests {
         assert_eq!(batch.count, 8);
         let mut buf = Vec::new();
         batch.encode_into(&mut buf);
-        let (Frame::EncodeBatchRequest(view), consumed) = decode_frame(&buf).unwrap() else {
+        assert_eq!(buf[3], 6, "the batch request tag");
+        let (
+            Frame::EncodeRequest {
+                request_id: None,
+                count: Some(count),
+                request: view,
+            },
+            consumed,
+        ) = decode_frame(&buf).unwrap()
+        else {
             panic!("wrong frame type");
         };
         assert_eq!(consumed, buf.len());
-        assert_eq!(view.session_id, batch.session_id);
-        assert_eq!(view.scheme, batch.scheme);
-        assert_eq!(view.cost_model, batch.cost_model);
-        assert_eq!((view.groups, view.burst_len, view.count), (4, 8, 8));
+        assert_eq!(view, request);
+        assert_eq!((view.groups, view.burst_len, count), (4, 8, 8));
         assert!(view.want_masks);
         assert_eq!(view.payload, &payload);
 
         // Count-field corruption is a typed error.
-        let count_at = HEADER_LEN + BATCH_REQUEST_HEAD_LEN - 6;
+        let count_at = HEADER_LEN + REQUEST_HEAD_LEN - 4;
         let mut bad = buf.clone();
         bad[count_at] = 9;
         assert_eq!(
@@ -2308,19 +2114,29 @@ mod tests {
         let per_group = [CostBreakdown::new(5, 6); 4];
         let masks = [InversionMask::from_bits(0b11); 8];
         let mut buf = Vec::new();
-        EncodeBatchResponseFrame {
+        EncodeResponseFrame {
             session_id: 0xBA7C,
             bursts: 8,
-            count: 8,
             per_group: &per_group,
             masks: &masks,
         }
-        .encode_into(&mut buf);
-        let (Frame::EncodeBatchResponse(view), consumed) = decode_frame(&buf).unwrap() else {
+        .encode_framed_into(&mut buf, None, Some(8));
+        assert_eq!(buf[3], 7, "the batch response tag");
+        let (
+            Frame::EncodeResponse {
+                request_id: None,
+                response: view,
+            },
+            consumed,
+        ) = decode_frame(&buf).unwrap()
+        else {
             panic!("wrong frame type");
         };
         assert_eq!(consumed, buf.len());
-        assert_eq!((view.session_id, view.bursts, view.count), (0xBA7C, 8, 8));
+        assert_eq!(
+            (view.session_id, view.bursts, view.count),
+            (0xBA7C, 8, Some(8))
+        );
         assert_eq!(view.group_count(), 4);
         assert_eq!(view.mask_count(), 8);
         assert_eq!(view.per_group().collect::<Vec<_>>(), per_group);
@@ -2476,7 +2292,8 @@ mod tests {
                 payload: &payload,
             }
             .encode_into(&mut buf);
-            let (Frame::EncodeRequest(view), _) = decode_frame(&buf).unwrap() else {
+            let (Frame::EncodeRequest { request: view, .. }, _) = decode_frame(&buf).unwrap()
+            else {
                 panic!("wrong frame type");
             };
             assert_eq!(view.cost_model, model);
@@ -2547,7 +2364,7 @@ mod tests {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         out.push(LEGACY_VERSION);
-        out.push(tag::ENCODE_REQUEST);
+        out.push(FRAMINGS[0].request);
         out.extend_from_slice(&((V1_REQUEST_HEAD_LEN + payload.len()) as u32).to_le_bytes());
         out.extend_from_slice(&session_id.to_le_bytes());
         out.push(scheme_tag);
@@ -2566,7 +2383,8 @@ mod tests {
         let payload = [9u8, 8, 7, 6, 5, 4, 3, 2];
         let scheme = Scheme::Opt(CostWeights::new(2, 5).unwrap());
         let v1 = encode_v1_request(0xC0DE, scheme, 4, 8, true, &payload);
-        let (Frame::EncodeRequest(view), consumed) = decode_frame(&v1).unwrap() else {
+        let (Frame::EncodeRequest { request: view, .. }, consumed) = decode_frame(&v1).unwrap()
+        else {
             panic!("wrong frame type");
         };
         assert_eq!(consumed, v1.len());
@@ -2710,7 +2528,7 @@ mod tests {
             message: "shard 0 is at its session limit",
         }
         .encode_into(&mut buf);
-        let (Frame::Error(view), _) = decode_frame(&buf).unwrap() else {
+        let (Frame::Error { error: view, .. }, _) = decode_frame(&buf).unwrap() else {
             panic!("wrong frame type");
         };
         assert_eq!(view.code, ErrorCode::SessionLimit);

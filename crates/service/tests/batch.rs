@@ -46,7 +46,7 @@ fn tcp_batches_are_bit_identical_to_serial_sessions() {
         // Two batch frames over one session: carried state must persist
         // across batches exactly as across per-burst requests.
         let half = data.len() / 2;
-        let request = |payload: &[u8]| EncodeBatchRequest {
+        let request = |payload| EncodeRequest {
             session_id,
             scheme,
             cost_model: CostModel::Inline,
@@ -54,17 +54,13 @@ fn tcp_batches_are_bit_identical_to_serial_sessions() {
             burst_len: 8,
             want_masks: true,
             verify: VerifyMode::Off,
-            count: (payload.len() / 8) as u16,
-            payload: &[],
+            payload,
         };
         let mut combined = Vec::new();
         let mut totals: Vec<CostBreakdown> = Vec::new();
         let mut bursts = 0u64;
         for payload in [&data[..half], &data[half..]] {
-            let frame = EncodeBatchRequest {
-                payload,
-                ..request(payload)
-            };
+            let frame = EncodeBatchRequest::from_request(&request(payload)).unwrap();
             tcp.encode_batch(&frame, &mut reply).unwrap();
             assert_eq!(reply.bursts, u64::from(frame.count));
             bursts += reply.bursts;
@@ -105,15 +101,11 @@ fn tcp_batches_are_bit_identical_to_serial_sessions() {
     let mut plain_reply = EncodeReply::new();
     tcp.encode(&plain, &mut plain_reply).unwrap();
     let batch = EncodeBatchRequest {
-        session_id: 0xE1,
-        scheme: plain.scheme,
-        cost_model: plain.cost_model,
-        groups: plain.groups,
-        burst_len: plain.burst_len,
-        want_masks: true,
-        verify: VerifyMode::Off,
+        request: EncodeRequest {
+            session_id: 0xE1,
+            ..plain
+        },
         count: (payload.len() / 8) as u16,
-        payload: &payload,
     };
     let mut batch_reply = EncodeReply::new();
     tcp.encode_batch(&batch, &mut batch_reply).unwrap();
@@ -134,15 +126,17 @@ fn malformed_batch_counts_are_rejected_locally_and_remotely() {
     let server = TcpServer::bind(&engine, "127.0.0.1:0").unwrap();
     let payload = [0u8; 32];
     let bad = EncodeBatchRequest {
-        session_id: 5,
-        scheme: Scheme::OptFixed,
-        cost_model: CostModel::Inline,
-        groups: 4,
-        burst_len: 8,
-        want_masks: false,
-        verify: VerifyMode::Off,
+        request: EncodeRequest {
+            session_id: 5,
+            scheme: Scheme::OptFixed,
+            cost_model: CostModel::Inline,
+            groups: 4,
+            burst_len: 8,
+            want_masks: false,
+            verify: VerifyMode::Off,
+            payload: &payload,
+        },
         count: 3, // payload holds 4 bursts
-        payload: &payload,
     };
     let mut reply = EncodeReply::new();
     assert_eq!(

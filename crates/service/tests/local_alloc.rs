@@ -150,15 +150,17 @@ fn steady_state_requests_are_allocation_free() {
     // slab, so it keeps the guarantee: a warmed-up encode_batch loop is
     // allocation-free end to end.
     let batch = EncodeBatchRequest {
-        session_id: 0xBA7C,
-        scheme: Scheme::OptFixed,
-        cost_model: CostModel::Inline,
-        groups: 4,
-        burst_len: 8,
-        want_masks: true,
-        verify: VerifyMode::Off,
+        request: EncodeRequest {
+            session_id: 0xBA7C,
+            scheme: Scheme::OptFixed,
+            cost_model: CostModel::Inline,
+            groups: 4,
+            burst_len: 8,
+            want_masks: true,
+            verify: VerifyMode::Off,
+            payload: &payload,
+        },
         count: (payload.len() / 8) as u16,
-        payload: &payload,
     };
     for _ in 0..8 {
         client.encode_batch(&batch, &mut reply).unwrap();

@@ -16,8 +16,8 @@ use dbi_core::{InversionMask, Scheme};
 use dbi_mem::BusSession;
 use dbi_service::wire::ErrorCode;
 use dbi_service::{
-    CostModel, EncodeReply, EncodeRequest, Engine, PipelinedClient, ServiceConfig, TcpServer,
-    VerifyMode,
+    CostModel, EncodeBatchRequest, EncodeReply, EncodeRequest, Engine, PipelinedClient,
+    ServiceConfig, TcpServer, VerifyMode,
 };
 use std::collections::HashMap;
 use std::time::Duration;
@@ -140,9 +140,10 @@ fn completions_within_a_session_stay_fifo() {
     engine.shutdown();
 }
 
-/// Four sessions interleaved through one pipelined connection produce
-/// masks bit-identical to four serial `BusSession` runs — carried state
-/// never leaks across sessions, whatever the completion interleaving.
+/// Four sessions interleaved through one pipelined connection, in both
+/// the plain and the batch framing, produce masks bit-identical to four
+/// serial `BusSession` runs — carried state never leaks across sessions,
+/// whatever the completion interleaving.
 #[test]
 fn interleaved_pipelined_load_is_bit_identical_to_serial() {
     let engine = Engine::start(ServiceConfig {
@@ -164,9 +165,15 @@ fn interleaved_pipelined_load_is_bit_identical_to_serial() {
     for chunk in 0..REQUESTS_PER_SESSION {
         for (session, stream) in streams.iter().enumerate() {
             let payload = &stream[chunk * ACCESS_BYTES..(chunk + 1) * ACCESS_BYTES];
-            let id = client
-                .submit(&request(session as u64 + 1, payload))
-                .unwrap();
+            let request = request(session as u64 + 1, payload);
+            // Odd chunks ride the pipelined batch framing: same session
+            // stream, same replies.
+            let id = if chunk % 2 == 1 {
+                client.submit_batch(&EncodeBatchRequest::from_request(&request).unwrap())
+            } else {
+                client.submit(&request)
+            }
+            .unwrap();
             id_to_session.insert(id, session);
         }
     }
@@ -194,7 +201,7 @@ fn interleaved_pipelined_load_is_bit_identical_to_serial() {
     engine.shutdown();
 }
 
-/// A per-request failure comes back as a `PipelinedError` echoing the
+/// A per-request failure comes back as an error frame (tag 16) echoing the
 /// failed request's id — and the connection stays usable for the
 /// requests around it.
 #[test]
@@ -220,6 +227,78 @@ fn per_request_failures_echo_their_id_and_keep_the_connection() {
     let (code, message) = outcomes[&failing].clone().expect("bad payload must fail");
     assert_eq!(code, ErrorCode::BadPayload);
     assert!(message.contains("31"), "{message}");
+
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// Wire parity holds in the *largest* framing: a request whose plain
+/// response body would just fit a frame, but whose pipelined response
+/// (8 more bytes of request id) would not, is refused up front as
+/// `PayloadTooLarge` on every path — it must never be admitted into a
+/// reply the service cannot frame — and the pipelined connection keeps
+/// serving afterwards.
+#[test]
+fn payloads_whose_replies_cannot_be_framed_are_refused_on_every_path() {
+    use dbi_service::wire::{MAX_BODY_LEN, RESPONSE_HEAD_LEN};
+    // 1 group, BL1, masks on: the plain response body is the head, one
+    // 16-byte cost record and one 4-byte mask per burst — 2 bytes under
+    // the frame limit, so only the request-id prefix pushes it over.
+    let len = (MAX_BODY_LEN - RESPONSE_HEAD_LEN - 16) / 4;
+    assert_eq!(len, 2_097_142);
+    assert_eq!(RESPONSE_HEAD_LEN + 16 + 4 * len, MAX_BODY_LEN - 2);
+    let engine = Engine::start(ServiceConfig {
+        shards: 1,
+        max_payload: 4 << 20,
+        ..ServiceConfig::default()
+    });
+    let server = TcpServer::bind(&engine, "127.0.0.1:0").unwrap();
+    let payload = vec![0xA5u8; len];
+    let oversized = EncodeRequest {
+        session_id: 9,
+        scheme: Scheme::OptFixed,
+        cost_model: CostModel::Inline,
+        groups: 1,
+        burst_len: 1,
+        want_masks: true,
+        verify: VerifyMode::Off,
+        payload: &payload,
+    };
+    let too_large = dbi_service::ServiceError::PayloadTooLarge {
+        got: len,
+        max: MAX_BODY_LEN,
+    };
+    let mut reply = EncodeReply::new();
+
+    assert_eq!(
+        engine.local_client().encode(&oversized, &mut reply),
+        Err(too_large.clone())
+    );
+
+    let mut tcp = dbi_service::TcpClient::connect(server.addr()).unwrap();
+    match tcp.encode(&oversized, &mut reply) {
+        Err(dbi_service::ClientError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::BadPayload);
+            assert_eq!(message, too_large.to_string());
+        }
+        other => panic!("expected a typed PayloadTooLarge, got {other:?}"),
+    }
+    drop(tcp);
+
+    let mut client = PipelinedClient::connect(server.addr()).unwrap();
+    let refused = client.submit(&oversized).unwrap();
+    let done = client.next_completion(&mut reply).unwrap();
+    assert_eq!(done.request_id, refused);
+    assert_eq!(
+        done.error,
+        Some((ErrorCode::BadPayload, too_large.to_string()))
+    );
+    // The connection still frames and serves the next request.
+    let good = pseudo_random(ACCESS_BYTES, 0x600D);
+    let served = client.submit(&request(1, &good)).unwrap();
+    let done = client.next_completion(&mut reply).unwrap();
+    assert_eq!((done.request_id, done.error), (served, None));
+    assert_eq!(reply.masks, reference_masks(&good));
 
     server.shutdown();
     engine.shutdown();
