@@ -39,6 +39,7 @@
 
 pub mod corpus;
 pub mod fuzz;
+mod hex;
 pub mod json;
 pub mod persist_golden;
 pub mod reference;

@@ -79,19 +79,7 @@ pub fn golden_journal_image() -> Vec<u8> {
 /// Renders both golden images as the checked-in hex document.
 #[must_use]
 pub fn to_hex_document(snapshot: &[u8], journal: &[u8]) -> String {
-    let mut doc = String::new();
-    for (i, image) in [snapshot, journal].into_iter().enumerate() {
-        if i > 0 {
-            doc.push('\n');
-        }
-        for chunk in image.chunks(32) {
-            for byte in chunk {
-                doc.push_str(&format!("{byte:02x}"));
-            }
-            doc.push('\n');
-        }
-    }
-    doc
+    crate::hex::to_hex_document([(None, snapshot), (None, journal)])
 }
 
 /// Parses a hex document back into its (snapshot, journal) images.
@@ -102,17 +90,9 @@ pub fn to_hex_document(snapshot: &[u8], journal: &[u8]) -> String {
 /// hex — the file is checked in, so malformation means a bad edit.
 #[must_use]
 pub fn from_hex_document(doc: &str) -> (Vec<u8>, Vec<u8>) {
-    let mut images = doc.split("\n\n").map(|block| {
-        block
-            .split_whitespace()
-            .flat_map(|line| {
-                line.as_bytes().chunks(2).map(|pair| {
-                    let text = std::str::from_utf8(pair).expect("hex is ASCII");
-                    u8::from_str_radix(text, 16).expect("checked-in image must be hex")
-                })
-            })
-            .collect::<Vec<u8>>()
-    });
+    let mut images = crate::hex::from_hex_document(doc, false)
+        .into_iter()
+        .map(|(_, bytes)| bytes);
     let snapshot = images.next().expect("snapshot block");
     let journal = images.next().expect("journal block");
     assert!(images.next().is_none(), "exactly two blocks expected");

@@ -16,7 +16,7 @@
 use dbi_core::{CostBreakdown, CostWeights, InversionMask, Scheme};
 use dbi_service::wire::{
     CostModel, EncodeBatchRequestFrame, EncodeRequestFrame, EncodeResponseFrame, ErrorCode,
-    ErrorFrame, Frame, VerifyMode, COST_MODEL_WIRE_BYTES, HEADER_LEN, LEGACY_VERSION, V2_VERSION,
+    ErrorFrame, VerifyMode, COST_MODEL_WIRE_BYTES, HEADER_LEN, LEGACY_VERSION, V2_VERSION,
 };
 
 /// The checked-in golden image (hex text, one named block per frame,
@@ -224,62 +224,18 @@ pub fn golden_wire_images() -> Vec<WireImage> {
     images
 }
 
-/// Re-encodes a decoded encode-family frame through this build's writers
-/// (which always stamp the current version). `None` for frames outside
-/// the encode family.
-#[must_use]
-pub fn reencode(frame: &Frame<'_>) -> Option<Vec<u8>> {
-    let mut out = Vec::new();
-    match *frame {
-        Frame::EncodeRequest {
-            request_id,
-            count,
-            request,
-        } => request.encode_framed_into(&mut out, request_id, count),
-        Frame::EncodeResponse {
-            request_id,
-            response,
-        } => {
-            let per_group: Vec<CostBreakdown> = response.per_group().collect();
-            let masks: Vec<InversionMask> = response.masks().collect();
-            EncodeResponseFrame {
-                session_id: response.session_id,
-                bursts: response.bursts,
-                per_group: &per_group,
-                masks: &masks,
-            }
-            .encode_framed_into(&mut out, request_id, response.count);
-        }
-        Frame::Error { request_id, error } => error.encode_framed_into(&mut out, request_id),
-        _ => return None,
-    }
-    Some(out)
-}
-
 /// Renders the images as the checked-in hex document: per image, a name
 /// line (`name` or `name = decodes_as`), then the bytes as hex, 32 per
 /// line; images separated by a blank line.
 #[must_use]
 pub fn to_hex_document(images: &[WireImage]) -> String {
-    let mut doc = String::new();
-    for (i, image) in images.iter().enumerate() {
-        if i > 0 {
-            doc.push('\n');
-        }
-        doc.push_str(&image.name);
-        if let Some(target) = &image.decodes_as {
-            doc.push_str(" = ");
-            doc.push_str(target);
-        }
-        doc.push('\n');
-        for chunk in image.bytes.chunks(32) {
-            for byte in chunk {
-                doc.push_str(&format!("{byte:02x}"));
-            }
-            doc.push('\n');
-        }
-    }
-    doc
+    crate::hex::to_hex_document(images.iter().map(|image| {
+        let header = match &image.decodes_as {
+            Some(target) => format!("{} = {target}", image.name),
+            None => image.name.clone(),
+        };
+        (Some(header), image.bytes.as_slice())
+    }))
 }
 
 /// Parses a hex document back into its images.
@@ -290,22 +246,14 @@ pub fn to_hex_document(images: &[WireImage]) -> String {
 /// file is checked in, so malformation means a bad edit.
 #[must_use]
 pub fn from_hex_document(doc: &str) -> Vec<WireImage> {
-    doc.split("\n\n")
-        .map(|block| {
-            let mut lines = block.lines();
-            let header = lines.next().expect("a name line");
+    crate::hex::from_hex_document(doc, true)
+        .into_iter()
+        .map(|(header, bytes)| {
+            let header = header.expect("a name line");
             let (name, decodes_as) = match header.split_once(" = ") {
                 Some((name, target)) => (name.to_owned(), Some(target.to_owned())),
                 None => (header.to_owned(), None),
             };
-            let bytes = lines
-                .flat_map(|line| {
-                    line.as_bytes().chunks(2).map(|pair| {
-                        let text = std::str::from_utf8(pair).expect("hex is ASCII");
-                        u8::from_str_radix(text, 16).expect("checked-in image must be hex")
-                    })
-                })
-                .collect();
             WireImage {
                 name,
                 decodes_as,

@@ -6,9 +6,41 @@
 //! so the diff must be deliberate.
 
 use dbi_conformance::wire_golden::{
-    from_hex_document, golden_wire_images, reencode, to_hex_document, CHECKED_IN_WIRE,
+    from_hex_document, golden_wire_images, to_hex_document, CHECKED_IN_WIRE,
 };
-use dbi_service::wire::decode_frame;
+use dbi_core::{CostBreakdown, InversionMask};
+use dbi_service::wire::{decode_frame, EncodeResponseFrame, Frame};
+
+/// Re-encodes a decoded encode-family frame through this build's writers
+/// (which always stamp the current version). `None` for frames outside
+/// the encode family.
+fn reencode(frame: &Frame<'_>) -> Option<Vec<u8>> {
+    let mut out = Vec::new();
+    match *frame {
+        Frame::EncodeRequest {
+            request_id,
+            count,
+            request,
+        } => request.encode_framed_into(&mut out, request_id, count),
+        Frame::EncodeResponse {
+            request_id,
+            response,
+        } => {
+            let per_group: Vec<CostBreakdown> = response.per_group().collect();
+            let masks: Vec<InversionMask> = response.masks().collect();
+            EncodeResponseFrame {
+                session_id: response.session_id,
+                bursts: response.bursts,
+                per_group: &per_group,
+                masks: &masks,
+            }
+            .encode_framed_into(&mut out, request_id, response.count);
+        }
+        Frame::Error { request_id, error } => error.encode_framed_into(&mut out, request_id),
+        _ => return None,
+    }
+    Some(out)
+}
 
 #[test]
 fn checked_in_wire_images_match_a_fresh_generation() {

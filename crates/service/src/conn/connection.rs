@@ -397,20 +397,18 @@ fn dispatch_frame(
             request,
         } => {
             let engine = ctx.engine.inner();
-            let submitted = engine.prepare(&request, count).and_then(|(shard, key)| {
-                let slot = ctx.slot_pool.pop().unwrap_or_else(RequestSlot::new);
-                let completion = Completion {
-                    sink: Arc::clone(ctx.sink),
-                    token: completion_token,
-                };
-                match engine.submit_slot(shard, key, &request, Some(completion), &slot) {
-                    Ok(()) => Ok(slot),
-                    Err(err) => {
-                        super::recycle_slot(ctx.slot_pool, slot);
-                        Err(err)
-                    }
+            let slot = ctx.slot_pool.pop().unwrap_or_else(RequestSlot::new);
+            let completion = Completion {
+                sink: Arc::clone(ctx.sink),
+                token: completion_token,
+            };
+            let submitted = match engine.submit_slot(&request, count, Some(completion), &slot) {
+                Ok(()) => Ok(slot),
+                Err(err) => {
+                    super::recycle_slot(ctx.slot_pool, slot);
+                    Err(err)
                 }
-            });
+            };
             // Synchronous failures (validation, backpressure, shutdown)
             // are answered immediately, in the request's own framing.
             match submitted {

@@ -1152,51 +1152,35 @@ impl EngineInner {
     }
 
     /// Validates and resolves an encode request — with the burst-count
-    /// field of a batch when `count` is set — yielding the shard it
-    /// routes to and the key workers pack on. Rejections are counted
-    /// against the target shard before returning, exactly as the
-    /// blocking client path does.
-    pub(crate) fn prepare(
+    /// field of a batch when `count` is set — then fills a slot with it
+    /// and enqueues it on its shard without blocking for the result;
+    /// non-blocking submitters register a `completion`. On success the
+    /// worker owns the slot until it publishes `Done` (and fires the
+    /// registered completion, if any); on failure the rejection is
+    /// counted against the target shard, the slot is left (or rolled
+    /// back to) `Idle`, and the completion is never fired.
+    pub(crate) fn submit_slot(
         &self,
         request: &EncodeRequest<'_>,
         count: Option<u16>,
-    ) -> Result<(usize, RouteKey), ServiceError> {
+        completion: Option<Completion>,
+        slot: &Arc<RequestSlot>,
+    ) -> Result<(), ServiceError> {
         let shard = self.shard_of(request.session_id);
+        let shard_metrics = self.metrics.shard(shard);
         // Resolve the cost model up front: workers (and the session map)
         // only ever see concrete weights, so two sessions whose models
         // resolve differently can never collide silently.
         let scheme = self
             .validate(request, count)
             .and_then(|()| resolve_scheme(request.scheme, request.cost_model))
-            .inspect_err(|_| self.metrics.shard(shard).record_reject())?;
-        Ok((
-            shard,
-            RouteKey {
-                session_id: request.session_id,
-                scheme,
-                groups: request.groups,
-                burst_len: request.burst_len,
-            },
-        ))
-    }
-
-    /// Fills a slot with a [`prepared`](EngineInner::prepare) request and
-    /// enqueues it on its shard without blocking for the result;
-    /// non-blocking submitters register a `completion`. On success the
-    /// worker owns the slot until it publishes `Done` (and fires the
-    /// registered completion, if any);
-    /// on failure the slot is rolled back to `Idle`, the rejection is
-    /// counted, and the completion — never fired — is returned to the
-    /// caller inside the untouched slot.
-    pub(crate) fn submit_slot(
-        &self,
-        shard: usize,
-        key: RouteKey,
-        request: &EncodeRequest<'_>,
-        completion: Option<Completion>,
-        slot: &Arc<RequestSlot>,
-    ) -> Result<(), ServiceError> {
-        let shard_metrics = self.metrics.shard(shard);
+            .inspect_err(|_| shard_metrics.record_reject())?;
+        let key = RouteKey {
+            session_id: request.session_id,
+            scheme,
+            groups: request.groups,
+            burst_len: request.burst_len,
+        };
         {
             let mut state = slot.state.lock().expect("slot mutex poisoned");
             debug_assert_eq!(state.phase, Phase::Idle, "slot reused while in flight");
@@ -1306,9 +1290,7 @@ impl LocalClient {
         count: Option<u16>,
         reply: &mut EncodeReply,
     ) -> Result<(), ServiceError> {
-        let (shard, key) = self.engine.prepare(request, count)?;
-        self.engine
-            .submit_slot(shard, key, request, None, &self.slot)?;
+        self.engine.submit_slot(request, count, None, &self.slot)?;
 
         let mut state = self.slot.state.lock().expect("slot mutex poisoned");
         while state.phase != Phase::Done {

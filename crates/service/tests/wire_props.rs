@@ -632,6 +632,24 @@ fn every_pipelined_truncation_is_rejected_without_panicking() {
 fn batch_frames_do_not_exist_below_v3_and_old_frames_still_decode() {
     frames_exist_from_their_version_on(PLAIN);
     frames_exist_from_their_version_on(BATCH);
+
+    // Metrics bodies are byte-identical across every version: re-stamping
+    // the version must decode to the same frame.
+    let mut request = Vec::new();
+    encode_metrics_request(&mut request);
+    let mut response = Vec::new();
+    encode_metrics_response(&mut response, "{}");
+    for frame in [request, response] {
+        let (current, _) = decode_frame(&frame).unwrap();
+        for version in LEGACY_VERSION..=VERSION {
+            let mut stamped = frame.clone();
+            stamped[2] = version;
+            let (old, len) = decode_frame(&stamped)
+                .unwrap_or_else(|err| panic!("v{version} must decode tag {}: {err}", frame[3]));
+            assert_eq!(len, frame.len());
+            assert_eq!(old, current, "v{version} metrics body must be identical");
+        }
+    }
 }
 
 #[test]
