@@ -3,6 +3,14 @@
 //! buffered nonblocking writes — the whole state machine one I/O thread
 //! drives for each of its connections.
 //!
+//! A readiness event is serviced whole: read, parse, submit, flush. A
+//! completion only frames its reply and marks the connection dirty; the
+//! I/O thread flushes each dirty connection once after draining all of
+//! its completions ([`Connection::flush_dirty`]), so one wakeup's replies
+//! share one `send(2)`. The write buffer always starts on a frame
+//! boundary, which lets the slow-consumer notice tell whether the peer
+//! last saw a whole frame.
+//!
 //! Framing errors follow the thread-per-connection front end's rules
 //! exactly: a *header*-level violation (bad magic, unsupported version,
 //! oversized body) is answered with one `BadRequest` error frame and the
@@ -11,10 +19,10 @@
 //! decode also gets `BadRequest`, but the frame boundary is intact, so
 //! the connection stays open and the next frame is served.
 
-use super::ConnConfig;
+use super::{ConnConfig, SlotPool};
 use crate::engine::{Completion, CompletionSink, Engine, Phase, RequestSlot};
 use crate::error::ServiceError;
-use crate::metrics::ConnectionMetrics;
+use crate::metrics::{ConnectionMetrics, IoCounters};
 use crate::wire::{self, EncodeResponseFrame, ErrorCode, ErrorFrame, Frame, WireError};
 use poller::Interest;
 use std::io::{self, Read, Write};
@@ -37,7 +45,8 @@ pub(crate) enum Close {
     /// Normal end: peer hung up, or a protocol violation finished
     /// flushing its error frame.
     Done,
-    /// The write buffer crossed the slow-consumer high-watermark.
+    /// The write backlog stayed past the slow-consumer high-watermark
+    /// after a flush: the socket refused the bytes.
     Slow,
     /// The transport failed mid-read or mid-write.
     Error,
@@ -52,7 +61,9 @@ pub(crate) struct IoContext<'a> {
     /// cloned into every submission.
     pub(crate) sink: &'a Arc<dyn CompletionSink>,
     /// Thread-local pool of recycled request slots.
-    pub(crate) slot_pool: &'a mut Vec<Arc<RequestSlot>>,
+    pub(crate) slot_pool: &'a mut SlotPool,
+    /// The thread's counts, published once per loop iteration.
+    pub(crate) counters: &'a mut IoCounters,
 }
 
 /// One in-flight engine submission of this connection. Its response is
@@ -80,6 +91,7 @@ pub(crate) struct Connection {
     read_buf: Vec<u8>,
     parsed: usize,
     /// Bytes queued for the socket; `[..flushed]` is already written.
+    /// Always starts on a frame boundary.
     write_buf: Vec<u8>,
     flushed: usize,
     pending: Vec<Pending>,
@@ -94,6 +106,10 @@ pub(crate) struct Connection {
     /// A header-level protocol violation was answered; close as soon as
     /// the error frame (and any earlier responses) flush.
     close_after_flush: bool,
+    /// Completions queued output that waits for
+    /// [`Connection::flush_dirty`]; the I/O thread lists the connection
+    /// once, on the clean-to-dirty edge.
+    dirty: bool,
     current_interest: Interest,
 }
 
@@ -111,6 +127,7 @@ impl Connection {
             paused: false,
             read_closed: false,
             close_after_flush: false,
+            dirty: false,
             current_interest: Interest::READ,
         }
     }
@@ -158,6 +175,8 @@ impl Connection {
 
     /// Services one finished engine submission: frames its response,
     /// then resumes parsing (the completion may have lifted the pause).
+    /// Does not flush: the caller marks the connection dirty and runs
+    /// [`Connection::flush_dirty`] once its completion drain is done.
     pub(crate) fn handle_completion(
         &mut self,
         slot: &Arc<RequestSlot>,
@@ -170,7 +189,7 @@ impl Connection {
         else {
             // Not ours (cannot happen while generations are honoured);
             // the caller recycles the slot either way.
-            return self.after_work(ctx);
+            return Ok(());
         };
         let entry = self.pending.remove(position);
         if entry.request_id.is_none() {
@@ -201,14 +220,34 @@ impl Connection {
             }
         }
         self.note_queued_output(ctx)?;
-        self.parse_frames(ctx)?;
+        self.parse_frames(ctx)
+    }
+
+    /// Marks the connection as holding deferred output; true on the
+    /// clean-to-dirty edge, when the caller must list it for
+    /// [`Connection::flush_dirty`].
+    pub(crate) fn mark_dirty(&mut self) -> bool {
+        !std::mem::replace(&mut self.dirty, true)
+    }
+
+    /// The deferred half of [`Connection::handle_completion`], run once
+    /// per dirty connection after a completion drain: one flush for all
+    /// the replies framed since, then the pause and close checks.
+    pub(crate) fn flush_dirty(&mut self, ctx: &mut IoContext<'_>) -> Result<(), Close> {
+        self.dirty = false;
         self.after_work(ctx)
     }
 
     /// Best-effort slow-consumer notice, sent right before the drop: one
-    /// nonblocking write of a typed error frame. A consumer too slow to
-    /// drain its responses may miss it; the drop itself is the signal.
+    /// nonblocking write of a typed error frame, made only when the
+    /// flushed bytes end on a frame boundary — after a partly sent frame
+    /// the notice would splice into it and the peer would parse garbage.
+    /// A consumer too slow to drain its responses may miss it either way;
+    /// the drop itself is the signal.
     pub(crate) fn send_slow_consumer_notice(&mut self) {
+        if last_frame_end(&self.write_buf, self.flushed) != self.flushed {
+            return;
+        }
         let mut notice = Vec::new();
         ErrorFrame {
             code: ErrorCode::SlowConsumer,
@@ -231,13 +270,17 @@ impl Connection {
                     self.read_closed = true;
                     break;
                 }
-                Ok(n) => self.read_buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    ctx.counters.reads += 1;
+                    self.read_buf.extend_from_slice(&chunk[..n]);
+                }
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return Err(Close::Error),
             }
         }
-        ctx.metrics.record_read_buf(self.read_buf.len() as u64);
+        let peak = &mut ctx.counters.read_buf_peak;
+        *peak = (*peak).max(self.read_buf.len() as u64);
         Ok(())
     }
 
@@ -260,6 +303,7 @@ impl Connection {
                     // the flush — resynchronisation is impossible.
                     queue_error(&mut self.write_buf, ErrorCode::BadRequest, &err.to_string());
                     self.close_after_flush = true;
+                    self.note_queued_output(ctx)?;
                     break;
                 }
             };
@@ -269,6 +313,8 @@ impl Connection {
             }
             let start = self.parsed;
             self.parsed += total;
+            ctx.counters.frames_in += 1;
+            let queued = self.write_buf.len();
             // Split borrows: the frame views borrow `read_buf` while the
             // dispatch appends to `write_buf` and grows `pending`.
             let Connection {
@@ -293,7 +339,10 @@ impl Connection {
                 // answer and keep serving the connection.
                 Err(err) => queue_error(write_buf, ErrorCode::BadRequest, &err.to_string()),
             }
-            self.note_queued_output(ctx)?;
+            // A submitted request queues nothing until it completes.
+            if self.write_buf.len() > queued {
+                self.note_queued_output(ctx)?;
+            }
         }
         if self.parsed > 0 {
             self.read_buf.drain(..self.parsed);
@@ -302,13 +351,21 @@ impl Connection {
         Ok(())
     }
 
-    /// Records the write-buffer watermark after queuing output and trips
-    /// the slow-consumer drop when the backlog crosses the limit.
+    /// Counts one frame just queued and records the backlog peak. A
+    /// backlog past the slow-consumer high-watermark is flushed first;
+    /// the connection is dropped only if the socket refuses enough bytes
+    /// to bring it back under, never just because its flush was
+    /// deferred.
     fn note_queued_output(&mut self, ctx: &mut IoContext<'_>) -> Result<(), Close> {
+        ctx.counters.frames_out += 1;
         let outstanding = self.write_buf.len() - self.flushed;
-        ctx.metrics.record_write_buf(outstanding as u64);
+        let peak = &mut ctx.counters.write_buf_peak;
+        *peak = (*peak).max(outstanding as u64);
         if outstanding > ctx.config.write_high_watermark {
-            return Err(Close::Slow);
+            self.flush(ctx.counters).map_err(|_| Close::Error)?;
+            if self.write_buf.len() - self.flushed > ctx.config.write_high_watermark {
+                return Err(Close::Slow);
+            }
         }
         Ok(())
     }
@@ -316,7 +373,7 @@ impl Connection {
     /// Flushes what the socket will take, refreshes the pause mirror and
     /// decides whether the connection is finished.
     fn after_work(&mut self, ctx: &mut IoContext<'_>) -> Result<(), Close> {
-        self.flush().map_err(|_| Close::Error)?;
+        self.flush(ctx.counters).map_err(|_| Close::Error)?;
         self.paused = self.is_paused(ctx);
         let drained = self.flushed == self.write_buf.len();
         if (self.read_closed || self.close_after_flush) && self.pending.is_empty() && drained {
@@ -329,7 +386,7 @@ impl Connection {
         self.legacy_in_flight || self.pending.len() >= ctx.config.max_in_flight
     }
 
-    fn flush(&mut self) -> io::Result<()> {
+    fn flush(&mut self, counters: &mut IoCounters) -> io::Result<()> {
         while self.flushed < self.write_buf.len() {
             match self.stream.write(&self.write_buf[self.flushed..]) {
                 Ok(0) => {
@@ -338,7 +395,10 @@ impl Connection {
                         "socket accepted zero bytes",
                     ))
                 }
-                Ok(n) => self.flushed += n,
+                Ok(n) => {
+                    counters.writes += 1;
+                    self.flushed += n;
+                }
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
                 Err(err) => return Err(err),
@@ -348,11 +408,28 @@ impl Connection {
             self.write_buf.clear();
             self.flushed = 0;
         } else if self.flushed >= FLUSH_COMPACT_THRESHOLD {
-            self.write_buf.drain(..self.flushed);
-            self.flushed = 0;
+            // Cut at a frame boundary so the buffer keeps starting on one.
+            let cut = last_frame_end(&self.write_buf, self.flushed);
+            self.write_buf.drain(..cut);
+            self.flushed -= cut;
         }
         Ok(())
     }
+}
+
+/// The end of the last whole frame within `buf[..upto]`. `buf` starts on
+/// a frame boundary and holds only frames this plane framed itself, so
+/// every header parses.
+fn last_frame_end(buf: &[u8], upto: usize) -> usize {
+    let mut end = 0;
+    while let Ok(header) = wire::parse_header(&buf[end..]) {
+        let next = end + wire::HEADER_LEN + header.body_len;
+        if next > upto {
+            break;
+        }
+        end = next;
+    }
+    end
 }
 
 /// Appends a plain error frame.
@@ -397,7 +474,7 @@ fn dispatch_frame(
             request,
         } => {
             let engine = ctx.engine.inner();
-            let slot = ctx.slot_pool.pop().unwrap_or_else(RequestSlot::new);
+            let slot = ctx.slot_pool.take();
             let completion = Completion {
                 sink: Arc::clone(ctx.sink),
                 token: completion_token,
@@ -405,7 +482,7 @@ fn dispatch_frame(
             let submitted = match engine.submit_slot(&request, count, Some(completion), &slot) {
                 Ok(()) => Ok(slot),
                 Err(err) => {
-                    super::recycle_slot(ctx.slot_pool, slot);
+                    ctx.slot_pool.recycle(slot);
                     Err(err)
                 }
             };

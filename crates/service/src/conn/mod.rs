@@ -23,11 +23,20 @@
 //! Each connection owns a growable read buffer (bytes parsed into frames
 //! in place) and a growable write buffer (responses appended, flushed as
 //! the socket accepts them). Both are bounded by configurable
-//! high-watermarks: a connection whose *write* buffer crosses
-//! [`ConnConfig::write_high_watermark`] is a **slow consumer** — it is
-//! sent a best-effort [`ErrorCode::SlowConsumer`](crate::wire::ErrorCode)
-//! frame and dropped, so one unread client cannot grow server memory
-//! without limit.
+//! high-watermarks: a connection whose *write* backlog stays past
+//! [`ConnConfig::write_high_watermark`] after a flush is a **slow
+//! consumer** — it is sent a best-effort
+//! [`ErrorCode::SlowConsumer`](crate::wire::ErrorCode) frame when its
+//! flushed bytes end on a frame boundary, and dropped, so one unread
+//! client cannot grow server memory without limit.
+//!
+//! One loop iteration: wait on the poller; drain the inbox; frame the
+//! reply of every drained completion, marking its connection dirty; flush
+//! each dirty connection **once**; then service the readiness events.
+//! Replies that finish together thus leave in one `send(2)` per
+//! connection, not one per reply. The thread counts its wakeups, socket
+//! reads and writes and frames in and out in plain locals and publishes
+//! them to [`ConnectionMetrics`] once per iteration.
 //!
 //! Requests reach the engine through its non-blocking submission path
 //! (`EngineInner::submit_slot`) with a completion registration; the shard
@@ -43,7 +52,7 @@
 mod connection;
 
 use crate::engine::{CompletionSink, Engine, Phase, RequestSlot};
-use crate::metrics::ConnectionMetrics;
+use crate::metrics::{ConnectionMetrics, IoCounters};
 use connection::{Close, Connection, IoContext};
 use poller::{Event, Interest, Poller, Waker};
 use std::io;
@@ -145,6 +154,14 @@ impl Inbox {
         self.waker.wake();
     }
 
+    /// Grows the completion list to hold `slots` entries, so the shard
+    /// workers' pushes never allocate.
+    fn reserve_completions(&self, slots: usize) {
+        let mut state = self.state.lock().expect("inbox mutex poisoned");
+        let queued = state.completions.len();
+        state.completions.reserve(slots.saturating_sub(queued));
+    }
+
     /// Moves the mailbox contents into the caller's buffers; returns the
     /// stop flag.
     fn drain(
@@ -240,15 +257,37 @@ impl Drop for ConnPlane {
     }
 }
 
-/// Resets a finished slot and returns it to the thread-local pool, so a
-/// steady-state I/O thread recycles slots instead of allocating.
-fn recycle_slot(pool: &mut Vec<Arc<RequestSlot>>, slot: Arc<RequestSlot>) {
-    slot.state.lock().expect("slot mutex poisoned").phase = Phase::Idle;
-    pool.push(slot);
+/// An I/O thread's request slots: the idle ones, recycled so a
+/// steady-state thread never allocates a slot, and how many it has made.
+/// Each slot it made sits at most once in its completion lists, so those
+/// lists' capacity follows `made` and only grows when a new slot is
+/// made — never at a chance burst of completions.
+#[derive(Default)]
+pub(crate) struct SlotPool {
+    idle: Vec<Arc<RequestSlot>>,
+    made: usize,
+}
+
+impl SlotPool {
+    /// An idle slot, or a new one when every slot is in flight.
+    pub(crate) fn take(&mut self) -> Arc<RequestSlot> {
+        self.idle.pop().unwrap_or_else(|| {
+            self.made += 1;
+            self.idle.reserve(self.made);
+            RequestSlot::new()
+        })
+    }
+
+    /// Resets a finished slot and returns it to the pool.
+    pub(crate) fn recycle(&mut self, slot: Arc<RequestSlot>) {
+        slot.state.lock().expect("slot mutex poisoned").phase = Phase::Idle;
+        self.idle.push(slot);
+    }
 }
 
 /// One I/O thread: drains its inbox (new connections, completions, the
-/// stop flag), then services poller readiness until told to stop.
+/// stop flag), flushes the connections the completions dirtied, then
+/// services poller readiness until told to stop.
 fn io_loop(
     engine: &Engine,
     inbox: &Arc<Inbox>,
@@ -262,10 +301,13 @@ fn io_loop(
     let mut conns: Vec<Option<Connection>> = Vec::new();
     let mut gens: Vec<u32> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
-    let mut slot_pool: Vec<Arc<RequestSlot>> = Vec::new();
+    let mut slot_pool = SlotPool::default();
     let mut events: Vec<Event> = Vec::new();
     let mut new_conns: Vec<TcpStream> = Vec::new();
     let mut completions: Vec<(u64, Arc<RequestSlot>)> = Vec::new();
+    // Slab indices of the connections holding deferred output.
+    let mut dirty: Vec<usize> = Vec::new();
+    let mut counters = IoCounters::default();
     let sink: Arc<dyn CompletionSink> = Arc::clone(inbox) as Arc<dyn CompletionSink>;
 
     loop {
@@ -274,6 +316,7 @@ fn io_loop(
             // connections rather than spin.
             return;
         }
+        counters.wakeups += 1;
 
         let stop = inbox.drain(&mut new_conns, &mut completions);
         if stop {
@@ -285,7 +328,7 @@ fn io_loop(
                 }
             }
             for (_, slot) in completions.drain(..) {
-                recycle_slot(&mut slot_pool, slot);
+                slot_pool.recycle(slot);
             }
             return;
         }
@@ -317,31 +360,58 @@ fn io_loop(
             conns[index] = Some(conn);
         }
 
+        let mut ctx = IoContext {
+            engine,
+            config,
+            metrics,
+            sink: &sink,
+            slot_pool: &mut slot_pool,
+            counters: &mut counters,
+        };
+
         for (token, slot) in completions.drain(..) {
             let index = (token >> 32) as usize;
             let generation = token as u32;
             let live = matches!(conns.get(index), Some(Some(_))) && gens[index] == generation;
             if live {
-                let mut ctx = IoContext {
-                    engine,
-                    config,
-                    metrics,
-                    sink: &sink,
-                    slot_pool: &mut slot_pool,
-                };
                 let conn = conns[index].as_mut().expect("checked live above");
-                let result = conn.handle_completion(&slot, &mut ctx);
-                finish(
-                    &mut poller,
-                    &mut conns,
-                    &mut gens,
-                    &mut free,
-                    metrics,
-                    index,
-                    result,
-                );
+                match conn.handle_completion(&slot, &mut ctx) {
+                    Ok(()) => {
+                        if conn.mark_dirty() {
+                            dirty.push(index);
+                        }
+                    }
+                    Err(close) => finish(
+                        &mut poller,
+                        &mut conns,
+                        &mut gens,
+                        &mut free,
+                        metrics,
+                        index,
+                        Err(close),
+                    ),
+                }
             }
-            recycle_slot(&mut slot_pool, slot);
+            ctx.slot_pool.recycle(slot);
+        }
+
+        // One flush per dirty connection for the whole drain. Slots are
+        // only reused by accepts, which ran before the drain, so an empty
+        // slot here is a dirty connection that closed later in the drain.
+        for index in dirty.drain(..) {
+            let Some(conn) = conns[index].as_mut() else {
+                continue;
+            };
+            let result = conn.flush_dirty(&mut ctx);
+            finish(
+                &mut poller,
+                &mut conns,
+                &mut gens,
+                &mut free,
+                metrics,
+                index,
+                result,
+            );
         }
 
         for &event in &events {
@@ -352,13 +422,6 @@ fn io_loop(
             let Some(Some(conn)) = conns.get_mut(index) else {
                 // Closed earlier in this same wait batch.
                 continue;
-            };
-            let mut ctx = IoContext {
-                engine,
-                config,
-                metrics,
-                sink: &sink,
-                slot_pool: &mut slot_pool,
             };
             let result = conn.handle_event(event, &mut ctx);
             finish(
@@ -371,6 +434,11 @@ fn io_loop(
                 result,
             );
         }
+        if slot_pool.made > completions.capacity() {
+            completions.reserve(slot_pool.made);
+            inbox.reserve_completions(slot_pool.made);
+        }
+        metrics.publish(&mut counters);
     }
 }
 

@@ -21,8 +21,10 @@
 //!
 //! The connection plane adds one engine-global `connections` block
 //! ([`ConnectionMetrics`]): accepted/active/closed counts, the
-//! slow-consumer drop count, and the largest read and write buffer any
-//! connection has grown. The block is owned by the TCP server's I/O
+//! slow-consumer drop count, the largest read and write buffer any
+//! connection has grown, and the I/O threads' work counts — loop
+//! wakeups, socket reads and writes that moved bytes, and frames parsed
+//! in and queued out. The block is owned by the TCP server's I/O
 //! threads, not the registry; an engine with no server attached reports
 //! it zeroed.
 //!
@@ -234,7 +236,9 @@ impl ShardMetrics {
 /// Lock-free counters of the connection plane — one set per server, not
 /// per shard, because connections are owned by the I/O threads, not the
 /// encode workers. Same discipline as [`ShardMetrics`]: relaxed atomics,
-/// bumped allocation-free from the event loop.
+/// bumped allocation-free from the event loop. The per-frame counts and
+/// buffer peaks arrive once per event-loop iteration, from each I/O
+/// thread's local counts, so the per-frame path touches no shared atomic.
 #[derive(Debug, Default)]
 pub struct ConnectionMetrics {
     active: AtomicU64,
@@ -243,6 +247,32 @@ pub struct ConnectionMetrics {
     dropped_slow: AtomicU64,
     read_buf_high_watermark: AtomicU64,
     write_buf_high_watermark: AtomicU64,
+    wakeups: AtomicU64,
+    reads: AtomicU64,
+    writes: AtomicU64,
+    frames_in: AtomicU64,
+    frames_out: AtomicU64,
+}
+
+/// One I/O thread's counts since its last
+/// [`publish`](ConnectionMetrics::publish): plain integers, bumped on the
+/// per-frame path without touching shared memory.
+#[derive(Debug, Default)]
+pub(crate) struct IoCounters {
+    /// Returns from the poller wait.
+    pub(crate) wakeups: u64,
+    /// Socket reads that moved bytes.
+    pub(crate) reads: u64,
+    /// Socket writes that moved bytes.
+    pub(crate) writes: u64,
+    /// Whole frames parsed out of read buffers.
+    pub(crate) frames_in: u64,
+    /// Frames queued onto write buffers.
+    pub(crate) frames_out: u64,
+    /// Largest read buffer seen, in bytes.
+    pub(crate) read_buf_peak: u64,
+    /// Largest unflushed write backlog seen, in bytes.
+    pub(crate) write_buf_peak: u64,
 }
 
 impl ConnectionMetrics {
@@ -267,18 +297,29 @@ impl ConnectionMetrics {
         self.dropped_slow.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds one connection's observed read-buffer peak into the plane's
-    /// high-watermark.
-    pub fn record_read_buf(&self, bytes: u64) {
-        self.read_buf_high_watermark
-            .fetch_max(bytes, Ordering::Relaxed);
-    }
-
-    /// Folds one connection's observed write-buffer peak into the plane's
-    /// high-watermark.
-    pub fn record_write_buf(&self, bytes: u64) {
-        self.write_buf_high_watermark
-            .fetch_max(bytes, Ordering::Relaxed);
+    /// Folds one I/O thread's counts into the shared counters and resets
+    /// them; zero counts cost no atomic operation.
+    pub(crate) fn publish(&self, counters: &mut IoCounters) {
+        for (shared, local) in [
+            (&self.wakeups, counters.wakeups),
+            (&self.reads, counters.reads),
+            (&self.writes, counters.writes),
+            (&self.frames_in, counters.frames_in),
+            (&self.frames_out, counters.frames_out),
+        ] {
+            if local > 0 {
+                shared.fetch_add(local, Ordering::Relaxed);
+            }
+        }
+        for (shared, peak) in [
+            (&self.read_buf_high_watermark, counters.read_buf_peak),
+            (&self.write_buf_high_watermark, counters.write_buf_peak),
+        ] {
+            if peak > 0 {
+                shared.fetch_max(peak, Ordering::Relaxed);
+            }
+        }
+        *counters = IoCounters::default();
     }
 
     /// Reads the counters into an owned snapshot.
@@ -291,6 +332,11 @@ impl ConnectionMetrics {
             dropped_slow: self.dropped_slow.load(Ordering::Relaxed),
             read_buf_high_watermark: self.read_buf_high_watermark.load(Ordering::Relaxed),
             write_buf_high_watermark: self.write_buf_high_watermark.load(Ordering::Relaxed),
+            wakeups: self.wakeups.load(Ordering::Relaxed),
+            reads: self.reads.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
+            frames_in: self.frames_in.load(Ordering::Relaxed),
+            frames_out: self.frames_out.load(Ordering::Relaxed),
         }
     }
 }
@@ -312,6 +358,17 @@ pub struct ConnectionsSnapshot {
     pub read_buf_high_watermark: u64,
     /// Largest write buffer any connection has grown, in bytes.
     pub write_buf_high_watermark: u64,
+    /// Returns from the I/O threads' poller waits.
+    pub wakeups: u64,
+    /// Socket reads that moved bytes.
+    pub reads: u64,
+    /// Socket writes that moved bytes.
+    pub writes: u64,
+    /// Whole frames parsed out of connections' read buffers.
+    pub frames_in: u64,
+    /// Frames queued for connections' sockets: replies, inline answers
+    /// and error frames.
+    pub frames_out: u64,
 }
 
 impl ConnectionsSnapshot {
@@ -324,6 +381,11 @@ impl ConnectionsSnapshot {
         self.accepted += other.accepted;
         self.closed += other.closed;
         self.dropped_slow += other.dropped_slow;
+        self.wakeups += other.wakeups;
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.frames_in += other.frames_in;
+        self.frames_out += other.frames_out;
         self.read_buf_high_watermark = self
             .read_buf_high_watermark
             .max(other.read_buf_high_watermark);
@@ -338,13 +400,19 @@ impl ConnectionsSnapshot {
             out,
             "{{\"active\":{},\"accepted\":{},\"closed\":{},\
              \"dropped_slow\":{},\"read_buf_high_watermark\":{},\
-             \"write_buf_high_watermark\":{}}}",
+             \"write_buf_high_watermark\":{},\"wakeups\":{},\"reads\":{},\
+             \"writes\":{},\"frames_in\":{},\"frames_out\":{}}}",
             self.active,
             self.accepted,
             self.closed,
             self.dropped_slow,
             self.read_buf_high_watermark,
             self.write_buf_high_watermark,
+            self.wakeups,
+            self.reads,
+            self.writes,
+            self.frames_in,
+            self.frames_out,
         )
         .expect("writing to a String cannot fail");
     }
@@ -966,6 +1034,36 @@ impl MetricsSnapshot {
                 "Largest write buffer any connection has grown.",
                 self.connections.write_buf_high_watermark,
             ),
+            (
+                "dbi_io_wakeups_total",
+                "counter",
+                "Returns from the I/O threads' poller waits.",
+                self.connections.wakeups,
+            ),
+            (
+                "dbi_io_reads_total",
+                "counter",
+                "Socket reads that moved bytes.",
+                self.connections.reads,
+            ),
+            (
+                "dbi_io_writes_total",
+                "counter",
+                "Socket writes that moved bytes.",
+                self.connections.writes,
+            ),
+            (
+                "dbi_io_frames_in_total",
+                "counter",
+                "Frames parsed out of connections' read buffers.",
+                self.connections.frames_in,
+            ),
+            (
+                "dbi_io_frames_out_total",
+                "counter",
+                "Frames queued for connections' sockets.",
+                self.connections.frames_out,
+            ),
         ] {
             writeln!(out, "# HELP {name} {help}").expect("writing to a String cannot fail");
             writeln!(out, "# TYPE {name} {kind}").expect("writing to a String cannot fail");
@@ -1161,7 +1259,8 @@ mod tests {
         assert!(json.contains(
             ",\"connections\":{\"active\":0,\"accepted\":0,\"closed\":0,\
              \"dropped_slow\":0,\"read_buf_high_watermark\":0,\
-             \"write_buf_high_watermark\":0},\
+             \"write_buf_high_watermark\":0,\"wakeups\":0,\"reads\":0,\
+             \"writes\":0,\"frames_in\":0,\"frames_out\":0},\
              \"durability\":{\"configured\":false,\"generation\":0,\
              \"snapshots_taken\":0,\"last_sessions\":0,\"last_bytes\":0,\
              \"restored_sessions\":0},\"kernel\":{"
@@ -1231,6 +1330,11 @@ mod tests {
                 dropped_slow: 1,
                 read_buf_high_watermark: 4096,
                 write_buf_high_watermark: 65536,
+                wakeups: 40,
+                reads: 30,
+                writes: 20,
+                frames_in: 50,
+                frames_out: 60,
             },
             durability: SnapshotStatus {
                 configured: true,
@@ -1274,7 +1378,9 @@ mod tests {
              \"entries\":1}},\
              \"connections\":{{\"active\":1,\"accepted\":3,\"closed\":2,\
              \"dropped_slow\":1,\"read_buf_high_watermark\":4096,\
-             \"write_buf_high_watermark\":65536}},\
+             \"write_buf_high_watermark\":65536,\"wakeups\":40,\
+             \"reads\":30,\"writes\":20,\"frames_in\":50,\
+             \"frames_out\":60}},\
              \"durability\":{{\"configured\":true,\"generation\":3,\
              \"snapshots_taken\":2,\"last_sessions\":2,\"last_bytes\":120,\
              \"restored_sessions\":1}},\
@@ -1318,6 +1424,12 @@ mod tests {
         assert!(text.contains("dbi_connections_accepted_total 3\n"));
         assert!(text.contains("dbi_connections_closed_total 2\n"));
         assert!(text.contains("dbi_connections_dropped_slow_total 1\n"));
+        assert!(text.contains("# TYPE dbi_io_wakeups_total counter\n"));
+        assert!(text.contains("dbi_io_wakeups_total 40\n"));
+        assert!(text.contains("dbi_io_reads_total 30\n"));
+        assert!(text.contains("dbi_io_writes_total 20\n"));
+        assert!(text.contains("dbi_io_frames_in_total 50\n"));
+        assert!(text.contains("dbi_io_frames_out_total 60\n"));
         assert!(text.contains("dbi_connection_read_buf_high_watermark_bytes 4096\n"));
         assert!(text.contains("dbi_connection_write_buf_high_watermark_bytes 65536\n"));
         assert!(text.contains(
@@ -1375,6 +1487,8 @@ mod tests {
         assert_eq!(left.connections.accepted, 6);
         assert_eq!(left.connections.closed, 4);
         assert_eq!(left.connections.dropped_slow, 2);
+        assert_eq!(left.connections.writes, 40);
+        assert_eq!(left.connections.frames_out, 120);
         assert_eq!(left.connections.read_buf_high_watermark, 4096);
         assert_eq!(left.connections.write_buf_high_watermark, 65536);
         // Per-shard durability counters fold like any other counter; the

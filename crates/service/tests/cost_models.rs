@@ -121,7 +121,8 @@ fn two_sessions_with_different_cost_models_carry_independent_streams() {
     assert!(json[start..end].contains("\"accepted\":2"), "{json}");
     let neutral = format!(
         "{}\"connections\":{{\"active\":0,\"accepted\":0,\"closed\":0,\"dropped_slow\":0,\
-         \"read_buf_high_watermark\":0,\"write_buf_high_watermark\":0}}{}",
+         \"read_buf_high_watermark\":0,\"write_buf_high_watermark\":0,\"wakeups\":0,\
+         \"reads\":0,\"writes\":0,\"frames_in\":0,\"frames_out\":0}}{}",
         &json[..start],
         &json[end..]
     );

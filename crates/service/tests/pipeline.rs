@@ -14,10 +14,10 @@
 
 use dbi_core::{InversionMask, Scheme};
 use dbi_mem::BusSession;
-use dbi_service::wire::ErrorCode;
+use dbi_service::wire::{ErrorCode, HEADER_LEN, MAX_BODY_LEN, RESPONSE_HEAD_LEN};
 use dbi_service::{
-    CostModel, EncodeBatchRequest, EncodeReply, EncodeRequest, Engine, PipelinedClient,
-    ServiceConfig, TcpServer, VerifyMode,
+    ClientError, ConnConfig, CostModel, EncodeBatchRequest, EncodeReply, EncodeRequest, Engine,
+    PipelinedClient, ServiceConfig, TcpClient, TcpServer, VerifyMode, MAX_GROUPS,
 };
 use std::collections::HashMap;
 use std::time::Duration;
@@ -240,7 +240,6 @@ fn per_request_failures_echo_their_id_and_keep_the_connection() {
 /// serving afterwards.
 #[test]
 fn payloads_whose_replies_cannot_be_framed_are_refused_on_every_path() {
-    use dbi_service::wire::{MAX_BODY_LEN, RESPONSE_HEAD_LEN};
     // 1 group, BL1, masks on: the plain response body is the head, one
     // 16-byte cost record and one 4-byte mask per burst — 2 bytes under
     // the frame limit, so only the request-id prefix pushes it over.
@@ -299,6 +298,224 @@ fn payloads_whose_replies_cannot_be_framed_are_refused_on_every_path() {
     let done = client.next_completion(&mut reply).unwrap();
     assert_eq!((done.request_id, done.error), (served, None));
     assert_eq!(reply.masks, reference_masks(&good));
+
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// A widest-geometry BL1 request with masks on: every payload byte is
+/// one burst of one lane group and earns a 4-byte mask, and every group
+/// a 16-byte cost record — so small requests pile up large replies.
+fn masked(session_id: u64, payload: &[u8]) -> EncodeRequest<'_> {
+    EncodeRequest {
+        session_id,
+        scheme: Scheme::Dc,
+        cost_model: CostModel::Inline,
+        groups: MAX_GROUPS,
+        burst_len: 1,
+        want_masks: true,
+        verify: VerifyMode::Off,
+        payload,
+    }
+}
+
+/// The framed size of the pipelined reply to [`masked`]: header, request
+/// id, response head, the cost records and one mask per burst.
+fn masked_reply_len(payload_len: usize) -> usize {
+    HEADER_LEN + 8 + RESPONSE_HEAD_LEN + 16 * usize::from(MAX_GROUPS) + 4 * payload_len
+}
+
+/// A connection-plane counter from a metrics JSON document.
+fn counter(json: &str, key: &str) -> u64 {
+    let pattern = format!("\"{key}\":");
+    let at = json
+        .find(&pattern)
+        .unwrap_or_else(|| panic!("no {key} in {json}"))
+        + pattern.len();
+    let digits: String = json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
+/// One small request served end to end on `client`, on a session id
+/// not used before.
+fn assert_served(client: &mut PipelinedClient, session_id: u64, seed: u32) {
+    let payload = pseudo_random(ACCESS_BYTES, seed);
+    let id = client.submit(&request(session_id, &payload)).unwrap();
+    let mut reply = EncodeReply::new();
+    let done = client.next_completion(&mut reply).unwrap();
+    assert_eq!((done.request_id, done.error), (id, None));
+    assert_eq!(reply.masks, reference_masks(&payload));
+}
+
+/// A client that submits but never reads is dropped once its unflushed
+/// replies pass the write high-watermark (clamped up to one maximum
+/// frame), and the drop is counted once. What it did receive parses as
+/// whole replies, optionally ending in the `SlowConsumer` notice — never
+/// a notice spliced into a partly sent frame. Another connection on the
+/// same I/O thread is served before and after.
+#[test]
+fn a_client_that_never_reads_is_dropped_as_a_slow_consumer() {
+    let engine = Engine::start(ServiceConfig {
+        shards: 2,
+        ..ServiceConfig::default()
+    });
+    let server = TcpServer::bind_with(
+        &engine,
+        "127.0.0.1:0",
+        ConnConfig {
+            io_threads: 1,
+            write_high_watermark: 0,
+            ..ConnConfig::default()
+        },
+    )
+    .unwrap();
+    let mut healthy = PipelinedClient::connect(server.addr()).unwrap();
+    assert_served(&mut healthy, 1, 0x0A);
+
+    // One burst per group: 64 payload bytes earn a 1.3 KB reply. The
+    // server also buffers up to a read high-watermark of unparsed
+    // requests, so the drop comes after tens of thousands of submissions.
+    let payload = pseudo_random(usize::from(MAX_GROUPS), 0x5107);
+    let mut stalled = PipelinedClient::connect(server.addr()).unwrap();
+    let mut submitted = 0usize;
+    while stalled.submit(&masked(2, &payload)).is_ok() {
+        submitted += 1;
+        assert!(
+            submitted < 1_000_000,
+            "a client that never reads was never dropped ({submitted} requests, \
+             {} MiB of replies)",
+            (submitted * masked_reply_len(payload.len())) >> 20
+        );
+    }
+
+    let json = TcpClient::connect(server.addr())
+        .unwrap()
+        .metrics_json()
+        .unwrap();
+    assert_eq!(counter(&json, "dropped_slow"), 1, "{json}");
+
+    let mut reply = EncodeReply::new();
+    let mut received = 0usize;
+    let end = loop {
+        match stalled.next_completion(&mut reply) {
+            Ok(_) => received += 1,
+            Err(err) => break err,
+        }
+    };
+    match end {
+        ClientError::Io(_)
+        | ClientError::Remote {
+            code: ErrorCode::SlowConsumer,
+            ..
+        } => {}
+        other => panic!("the dropped stream broke after {received} whole replies: {other:?}"),
+    }
+    assert!(received < submitted, "{received} of {submitted}");
+
+    assert_served(&mut healthy, 3, 0x0B);
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// A client that reads is never dropped, even when one completion drain
+/// frames a whole window of large replies that together pass the write
+/// high-watermark: the plane flushes before judging the backlog.
+#[test]
+fn a_reading_client_with_a_full_window_of_large_replies_is_never_dropped() {
+    const WINDOW: usize = 8;
+    const ROUNDS: usize = 2;
+    let watermark = HEADER_LEN + MAX_BODY_LEN;
+    // A window of replies 16 KiB past the (clamped) watermark, in whole
+    // bursts of every group.
+    let groups = usize::from(MAX_GROUPS);
+    let payload_len = (watermark / (4 * WINDOW) + 512) / groups * groups;
+    assert!(WINDOW * masked_reply_len(payload_len) > watermark);
+    let engine = Engine::start(ServiceConfig {
+        shards: 2,
+        ..ServiceConfig::default()
+    });
+    let server = TcpServer::bind_with(
+        &engine,
+        "127.0.0.1:0",
+        ConnConfig {
+            io_threads: 1,
+            write_high_watermark: 0,
+            max_in_flight: WINDOW,
+            ..ConnConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = PipelinedClient::connect(server.addr()).unwrap();
+    let payload = pseudo_random(payload_len, 0x1A26E);
+    let mut reply = EncodeReply::new();
+    for _ in 0..ROUNDS {
+        for session in 0..WINDOW as u64 {
+            client.submit(&masked(session, &payload)).unwrap();
+        }
+        for _ in 0..WINDOW {
+            let done = client.next_completion(&mut reply).unwrap();
+            assert!(done.is_ok(), "{:?}", done.error);
+            assert_eq!(reply.masks.len(), payload_len);
+        }
+    }
+    let json = TcpClient::connect(server.addr())
+        .unwrap()
+        .metrics_json()
+        .unwrap();
+    assert_eq!(counter(&json, "dropped_slow"), 0, "{json}");
+
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// The connection-plane counters account for a pipelined run: one frame
+/// in per request, one frame out per reply received, at least one and at
+/// most one socket write per reply.
+#[test]
+fn connection_counters_account_for_a_pipelined_run() {
+    const REQUESTS: usize = 64;
+    let engine = Engine::start(ServiceConfig {
+        shards: 2,
+        ..ServiceConfig::default()
+    });
+    // One I/O thread serves the metrics request in a later loop
+    // iteration than the run's last reply, so every count of the run is
+    // published by then.
+    let server = TcpServer::bind_with(
+        &engine,
+        "127.0.0.1:0",
+        ConnConfig {
+            io_threads: 1,
+            ..ConnConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = PipelinedClient::connect(server.addr()).unwrap();
+    let data = pseudo_random(ACCESS_BYTES * REQUESTS, 0xC0DE);
+    for (index, chunk) in data.chunks(ACCESS_BYTES).enumerate() {
+        client.submit(&request(index as u64 % 4, chunk)).unwrap();
+    }
+    let mut reply = EncodeReply::new();
+    let mut received = 0u64;
+    for _ in 0..REQUESTS {
+        let done = client.next_completion(&mut reply).unwrap();
+        assert!(done.is_ok(), "{:?}", done.error);
+        received += 1;
+    }
+
+    let json = TcpClient::connect(server.addr())
+        .unwrap()
+        .metrics_json()
+        .unwrap();
+    assert_eq!(counter(&json, "frames_in"), REQUESTS as u64, "{json}");
+    assert_eq!(counter(&json, "frames_out"), received, "{json}");
+    let writes = counter(&json, "writes");
+    assert!((1..=received).contains(&writes), "{json}");
+    assert!(counter(&json, "reads") >= 1, "{json}");
+    assert!(counter(&json, "wakeups") >= 1, "{json}");
 
     server.shutdown();
     engine.shutdown();

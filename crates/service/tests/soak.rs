@@ -223,6 +223,21 @@ fn pipelined_fan_in_soak() {
     ] {
         assert!(json.contains(&expect), "expected {expect} in {json}");
     }
+    // Every request was parsed in a loop iteration that ended — and so
+    // published its counts — before its reply was flushed.
+    let frames_in: u64 = {
+        let at = json.find("\"frames_in\":").expect("frames_in counter") + "\"frames_in\":".len();
+        let digits: String = json[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
+    };
+    assert!(
+        frames_in >= (conns * WINDOW) as u64,
+        "{frames_in} frames in for {} requests: {json}",
+        conns * WINDOW
+    );
 
     // Release the wall.
     for child in &mut children {
