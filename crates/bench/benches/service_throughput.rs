@@ -403,6 +403,11 @@ fn run_fan_in(
             in_flight.push((index, id, start));
             submitted += 1;
         }
+        // Submissions are write-behind: send the whole wave before
+        // blocking on its first connection, or fan-in turns serial.
+        for &(index, _, _) in &in_flight {
+            clients[index].flush().expect("fan-in flush");
+        }
         for (index, id, start) in in_flight {
             let done = clients[index]
                 .next_completion(&mut reply)

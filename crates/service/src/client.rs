@@ -9,13 +9,15 @@
 //! (the socket itself, of course, still costs syscalls).
 //!
 //! [`PipelinedClient`] speaks the protocol-5 pipelined form: requests are
-//! **submitted** without waiting ([`PipelinedClient::submit`] returns the
-//! auto-assigned request id immediately) and completions are **polled**
-//! ([`PipelinedClient::next_completion`] /
+//! **submitted** without waiting ([`PipelinedClient::submit`] frames the
+//! request into a send queue and returns the auto-assigned request id)
+//! and completions are **polled** ([`PipelinedClient::next_completion`] /
 //! [`PipelinedClient::try_next_completion`]), matched to submissions by
-//! the echoed id rather than by arrival order. Many requests ride one
-//! connection concurrently, so a single client can keep every engine
-//! shard busy without one thread per outstanding request.
+//! the echoed id rather than by arrival order. The queue is write-behind:
+//! it goes out in one write when the client is about to wait for replies,
+//! when it would pass 16 KiB, or on [`PipelinedClient::flush`]. Many
+//! requests ride one connection concurrently, so a single client can keep
+//! every engine shard busy without one thread per outstanding request.
 
 use crate::engine::{EncodeBatchRequest, EncodeReply, EncodeRequest};
 use crate::error::ClientError;
@@ -292,6 +294,11 @@ impl PipelinedCompletion {
 /// backlog — a soak harness can hold thousands of these clients.
 const RECV_CHUNK: usize = 16 * 1024;
 
+/// The most bytes [`PipelinedClient`] queues before a submission writes
+/// them out: a frame that would take the queue past it flushes the queue
+/// first. One receive chunk, so a flushed queue fits one server read.
+const SEND_BOUND: usize = RECV_CHUNK;
+
 /// A pipelined (protocol version 5) client over TCP: submit many, poll
 /// completions by request id.
 ///
@@ -300,6 +307,28 @@ const RECV_CHUNK: usize = 16 * 1024;
 /// session stay FIFO (sticky sharding orders same-session work). Code
 /// must therefore match completions to submissions by
 /// [`PipelinedCompletion::request_id`], never by arrival order.
+///
+/// Submissions are **write-behind**: [`PipelinedClient::submit`] only
+/// frames the request into the connection's send queue, and the queue
+/// leaves in one blocking write at these points:
+///
+/// * at the start of [`PipelinedClient::next_completion`], before it
+///   blocks on the socket;
+/// * at the start of [`PipelinedClient::try_next_completion`], when no
+///   whole reply is buffered yet;
+/// * inside a submission whose frame would take the queue past 16 KiB
+///   (a larger frame is queued alone and leaves at the next point);
+/// * on [`PipelinedClient::flush`].
+///
+/// Every call that waits on the service flushes first, so a caller that
+/// submits and then polls one client never deadlocks on its own queue.
+/// A caller that submits on many clients before blocking on one should
+/// [`flush`](PipelinedClient::flush) each, or the others' requests sit
+/// unsent until their own next poll. A write error surfaces from
+/// whichever of those calls flushed — possibly a later `submit` or a
+/// poll, not the `submit` that queued the bytes — and drops the queue:
+/// the connection is then unusable. Dropping the client does **not**
+/// flush; queued requests are discarded with the connection.
 #[derive(Debug)]
 pub struct PipelinedClient {
     stream: TcpStream,
@@ -311,9 +340,10 @@ pub struct PipelinedClient {
 }
 
 impl PipelinedClient {
-    /// Connects to a service and disables Nagle batching (submissions
-    /// should hit the wire immediately — pipelining already amortises
-    /// the per-frame cost).
+    /// Connects to a service, reserves the send queue's 16 KiB once, and
+    /// disables Nagle batching: the client already batches — each flush
+    /// hands the queue to the kernel in one write — so Nagle would only
+    /// hold back the tail of a flush until the service's ACK.
     ///
     /// # Errors
     ///
@@ -323,7 +353,7 @@ impl PipelinedClient {
         let _ = stream.set_nodelay(true);
         Ok(PipelinedClient {
             stream,
-            out_buf: Vec::new(),
+            out_buf: Vec::with_capacity(SEND_BOUND),
             recv_buf: Vec::new(),
             parsed: 0,
             next_id: 0,
@@ -331,68 +361,98 @@ impl PipelinedClient {
         })
     }
 
-    /// Submits one encode request without waiting for its response;
+    /// Queues one encode request without waiting for its response;
     /// returns the auto-assigned request id its completion will echo.
     ///
-    /// The write itself is blocking: if the socket's send buffer is
-    /// full (the service applies backpressure by pausing its reads once
-    /// this connection has [`ConnConfig::max_in_flight`] requests in
-    /// flight), `submit` waits until the frame is fully handed to the
-    /// kernel.
+    /// The request is only framed into the send queue; it reaches the
+    /// service at the next flush point (see the [type docs](Self)). Only
+    /// a submission whose frame would take the queue past 16 KiB writes,
+    /// and that write is blocking: if the socket's send buffer is full
+    /// (the service applies backpressure by pausing its reads once this
+    /// connection has [`ConnConfig::max_in_flight`] requests in flight),
+    /// `submit` waits until the queue is fully handed to the kernel.
     ///
     /// [`ConnConfig::max_in_flight`]: crate::ConnConfig::max_in_flight
     ///
     /// # Errors
     ///
-    /// [`ClientError::Io`] — the transport failed mid-write.
+    /// [`ClientError::Io`] — flushing the queue failed; the error may
+    /// belong to bytes earlier submissions queued.
     pub fn submit(&mut self, request: &EncodeRequest<'_>) -> Result<u64, ClientError> {
         self.send(request, None)
     }
 
-    /// Submits one **batched** encode request without waiting; returns
+    /// Queues one **batched** encode request without waiting; returns
     /// the auto-assigned request id. Same semantics as
     /// [`PipelinedClient::submit`].
     ///
     /// # Errors
     ///
-    /// [`ClientError::Io`] — the transport failed mid-write.
+    /// Same failure modes as [`PipelinedClient::submit`].
     pub fn submit_batch(&mut self, batch: &EncodeBatchRequest<'_>) -> Result<u64, ClientError> {
         self.send(&batch.request, Some(batch.count))
     }
 
-    /// The one encode path of both entry points: writes the request
-    /// behind the next request id, in the framing `count` selects.
+    /// The one encode path of both entry points: queues the request
+    /// behind the next request id, in the framing `count` selects,
+    /// flushing first when the frame would take the queue past
+    /// `SEND_BOUND`.
     fn send(
         &mut self,
         request: &EncodeRequest<'_>,
         count: Option<u16>,
     ) -> Result<u64, ClientError> {
+        // At most the count field's bytes over the exact frame length.
+        let frame_len = HEADER_LEN
+            + wire::MAX_FRAMING_WIRE_BYTES
+            + wire::REQUEST_HEAD_LEN
+            + request.payload.len();
+        if self.out_buf.len() + frame_len > SEND_BOUND {
+            self.flush()?;
+        }
         let request_id = self.next_id;
-        self.out_buf.clear();
         request.encode_framed_into(&mut self.out_buf, Some(request_id), count);
-        self.stream.write_all(&self.out_buf)?;
         self.next_id = self.next_id.wrapping_add(1);
         self.in_flight += 1;
         Ok(request_id)
     }
 
-    /// How many submitted requests have not yet been completed.
+    /// Writes every queued submission to the socket in one blocking
+    /// write. A no-op when nothing is queued. Callers that submit on
+    /// several clients before blocking on one of them flush each, so all
+    /// their requests reach the service together.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Io`] — the transport failed mid-write. The queue is
+    /// dropped either way; after an error the connection is unusable.
+    pub fn flush(&mut self) -> Result<(), ClientError> {
+        if self.out_buf.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.out_buf);
+        self.out_buf.clear();
+        Ok(written?)
+    }
+
+    /// How many submitted requests have not yet been completed, queued
+    /// ones included.
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.in_flight
     }
 
-    /// Blocks until the next completion arrives (in the service's order,
-    /// which across sessions need not be submission order). On success
-    /// `reply` holds the response's results; on a per-request failure
-    /// the returned completion carries the typed error and `reply` is
-    /// untouched.
+    /// Flushes the send queue, then blocks until the next completion
+    /// arrives (in the service's order, which across sessions need not be
+    /// submission order). On success `reply` holds the response's
+    /// results; on a per-request failure the returned completion carries
+    /// the typed error and `reply` is untouched.
     ///
     /// # Errors
     ///
-    /// * [`ClientError::Io`] — the transport failed, or the service
-    ///   closed the connection with requests still in flight (e.g. a
-    ///   slow-consumer drop);
+    /// * [`ClientError::Io`] — the transport failed (the flush included),
+    ///   or the service closed the connection with requests still in
+    ///   flight (e.g. a slow-consumer drop);
     /// * [`ClientError::Wire`] — the service sent a malformed frame;
     /// * [`ClientError::Remote`] — the service answered with a
     ///   *connection-level* error frame (protocol violation);
@@ -402,21 +462,19 @@ impl PipelinedClient {
         &mut self,
         reply: &mut EncodeReply,
     ) -> Result<PipelinedCompletion, ClientError> {
+        self.flush()?;
         loop {
             if let Some(done) = self.take_buffered(reply)? {
                 return Ok(done);
             }
-            let mut chunk = [0u8; RECV_CHUNK];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(closed_early().into()),
-                Ok(n) => self.recv_buf.extend_from_slice(&chunk[..n]),
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                Err(err) => return Err(err.into()),
+            if !self.read_some()? {
+                return Err(closed_early().into());
             }
         }
     }
 
-    /// [`PipelinedClient::next_completion`] without blocking: drains
+    /// [`PipelinedClient::next_completion`] without blocking on replies:
+    /// when no whole reply is buffered, flushes the send queue, drains
     /// whatever the socket has ready and returns `Ok(None)` when no
     /// complete response frame has arrived yet.
     ///
@@ -430,6 +488,7 @@ impl PipelinedClient {
         if let Some(done) = self.take_buffered(reply)? {
             return Ok(Some(done));
         }
+        self.flush()?;
         self.stream.set_nonblocking(true)?;
         let drained = self.drain_ready();
         self.stream.set_nonblocking(false)?;
@@ -439,14 +498,39 @@ impl PipelinedClient {
 
     /// Reads until the socket would block.
     fn drain_ready(&mut self) -> Result<(), ClientError> {
+        loop {
+            match self.read_some() {
+                Ok(true) => {}
+                Ok(false) => return Err(closed_early().into()),
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(err) => return Err(err.into()),
+            }
+        }
+    }
+
+    /// One socket read appended to the receive buffer, after dropping the
+    /// prefix [`take_buffered`](Self::take_buffered) has parsed — so the
+    /// buffer holds at most one partial frame plus what the reads since
+    /// the last parse returned. Growth is exact, not doubling, so a
+    /// blocking read loop never takes the capacity past one chunk plus a
+    /// partial frame. Returns `Ok(false)` at end of stream; retries
+    /// interrupted reads.
+    fn read_some(&mut self) -> io::Result<bool> {
+        if self.parsed > 0 {
+            self.recv_buf.drain(..self.parsed);
+            self.parsed = 0;
+        }
         let mut chunk = [0u8; RECV_CHUNK];
         loop {
             match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(closed_early().into()),
-                Ok(n) => self.recv_buf.extend_from_slice(&chunk[..n]),
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Ok(0) => return Ok(false),
+                Ok(n) => {
+                    self.recv_buf.reserve_exact(n);
+                    self.recv_buf.extend_from_slice(&chunk[..n]);
+                    return Ok(true);
+                }
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                Err(err) => return Err(err.into()),
+                Err(err) => return Err(err),
             }
         }
     }
@@ -492,10 +576,6 @@ impl PipelinedClient {
             _ => return Err(ClientError::UnexpectedResponse),
         };
         self.parsed += total;
-        if self.parsed == self.recv_buf.len() {
-            self.recv_buf.clear();
-            self.parsed = 0;
-        }
         self.in_flight = self.in_flight.saturating_sub(1);
         Ok(Some(completion))
     }
@@ -529,7 +609,9 @@ fn closed_early() -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::WireError;
+    use crate::wire::{EncodeResponseFrame, PipelinedResponseFrame, WireError};
+    use dbi_core::CostBreakdown;
+    use std::net::TcpListener;
 
     #[test]
     fn read_frame_distinguishes_clean_eof_from_truncation() {
@@ -576,5 +658,56 @@ mod tests {
         ));
         // The rejected body was never buffered.
         assert!(buf.capacity() < 1024);
+    }
+
+    #[test]
+    fn parsed_replies_are_dropped_when_no_read_ends_on_a_frame() {
+        // 102-byte replies (pipelined, 4 groups, no masks), written so
+        // that every write ends one byte into the next frame.
+        const REPLIES: u64 = 2000;
+        let per_group = [CostBreakdown::default(); 4];
+        let mut replies = Vec::new();
+        for request_id in 0..REPLIES {
+            PipelinedResponseFrame {
+                request_id,
+                response: EncodeResponseFrame {
+                    session_id: 1,
+                    bursts: 8,
+                    per_group: &per_group,
+                    masks: &[],
+                },
+            }
+            .encode_into(&mut replies);
+        }
+        let frame = replies.len() / REPLIES as usize;
+        assert_eq!(frame, 102);
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut socket, _) = listener.accept().unwrap();
+            let _ = socket.set_nodelay(true);
+            let mut at = 0;
+            let mut end = frame + 1;
+            while at < replies.len() {
+                socket.write_all(&replies[at..end]).unwrap();
+                at = end;
+                end = (end + frame).min(replies.len());
+            }
+        });
+
+        let mut client = PipelinedClient::connect(addr).unwrap();
+        let mut reply = EncodeReply::new();
+        let mut peak = 0;
+        for request_id in 0..REPLIES {
+            let done = client.next_completion(&mut reply).unwrap();
+            assert_eq!(done.request_id, request_id);
+            peak = peak.max(client.recv_buf.capacity());
+        }
+        server.join().unwrap();
+        assert!(
+            peak < RECV_CHUNK + 2 * frame,
+            "receive buffer grew to {peak} bytes"
+        );
     }
 }

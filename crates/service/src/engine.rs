@@ -2604,10 +2604,12 @@ mod tests {
         let engine = Engine::start(ServiceConfig {
             shards: 1,
             queue_capacity: 8,
-            slowlog_threshold_ns: 1_000_000,
+            // Far above any unslowed debug request on a loaded host, and
+            // the injected delay far above the threshold.
+            slowlog_threshold_ns: 20_000_000,
             ..ServiceConfig::default()
         });
-        engine.inject_slowdown_for_tests(7, Duration::from_millis(2));
+        engine.inject_slowdown_for_tests(7, Duration::from_millis(60));
         let mut client = engine.local_client();
         let mut reply = EncodeReply::new();
         let payload = pseudo_random(64, 11);
@@ -2655,7 +2657,7 @@ mod tests {
         assert_eq!(totals.latency.encode.count, 3);
         assert_eq!(totals.latency.verify.count, 3);
         assert_eq!(totals.latency.queue_wait.count, 3);
-        assert!(totals.latency.total.percentile_ns(0.99) >= 1_000_000);
+        assert!(totals.latency.total.percentile_ns(0.99) >= engine.slowlog_threshold_ns());
         engine.shutdown();
     }
 

@@ -76,10 +76,12 @@
 //!   a request id, plus the metrics, telemetry and durability admin
 //!   frames — returning results identical to [`LocalClient`];
 //!   [`TcpClient::encode_batch`] ships a whole batch per round trip.
-//!   `PipelinedClient` speaks v5: [`PipelinedClient::submit`] returns
-//!   the assigned request id immediately,
-//!   [`PipelinedClient::next_completion`] blocks for the next
-//!   completion, [`PipelinedClient::try_next_completion`] polls.
+//!   `PipelinedClient` speaks v5: [`PipelinedClient::submit`] queues
+//!   the request write-behind and returns the assigned request id,
+//!   [`PipelinedClient::next_completion`] flushes the queue and blocks
+//!   for the next completion, [`PipelinedClient::try_next_completion`]
+//!   polls, [`PipelinedClient::flush`] sends the queue now — one write
+//!   per window of submissions, not one per request.
 //! * [`metrics`] — per-shard atomic counters (requests, rejects, bytes,
 //!   bursts, transitions saved, queue depth + peak, sessions) plus a
 //!   `batch` block (worker passes, coalesced requests, pass-size p50/p99,

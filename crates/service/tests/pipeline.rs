@@ -20,7 +20,7 @@ use dbi_service::{
     PipelinedClient, ServiceConfig, TcpClient, TcpServer, VerifyMode, MAX_GROUPS,
 };
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const GROUPS: u16 = 4;
 const BURST_LEN: u8 = 8;
@@ -107,7 +107,10 @@ fn completions_cross_sessions_out_of_order() {
 }
 
 /// Within one session, completions arrive in submission order even with
-/// the whole window in flight — sticky sharding serialises them.
+/// the whole window in flight — sticky sharding serialises them — and
+/// match the serial reference. The window stays well under the client's
+/// send bound, so it is queued and leaves only through the flush at the
+/// start of `next_completion`: write-behind never strands a submission.
 #[test]
 fn completions_within_a_session_stay_fifo() {
     let engine = Engine::start(ServiceConfig {
@@ -126,15 +129,18 @@ fn completions_within_a_session_stay_fifo() {
 
     let mut reply = EncodeReply::new();
     let mut arrival = Vec::new();
+    let mut masks = Vec::new();
     for _ in 0..REQUESTS {
         let done = client.next_completion(&mut reply).unwrap();
         assert!(done.is_ok(), "{:?}", done.error);
         arrival.push(done.request_id);
+        masks.extend_from_slice(&reply.masks);
     }
     assert_eq!(
         arrival, submitted,
         "one session's completions must keep submission order"
     );
+    assert_eq!(masks, reference_masks(&data));
 
     server.shutdown();
     engine.shutdown();
@@ -471,6 +477,21 @@ fn a_reading_client_with_a_full_window_of_large_replies_is_never_dropped() {
     engine.shutdown();
 }
 
+/// A server with one I/O thread, so a metrics request is served in a
+/// later loop iteration than the frames read before it, and every count
+/// from those is published by then.
+fn one_io_thread_server(engine: &Engine) -> TcpServer {
+    TcpServer::bind_with(
+        engine,
+        "127.0.0.1:0",
+        ConnConfig {
+            io_threads: 1,
+            ..ConnConfig::default()
+        },
+    )
+    .unwrap()
+}
+
 /// The connection-plane counters account for a pipelined run: one frame
 /// in per request, one frame out per reply received, at least one and at
 /// most one socket write per reply.
@@ -481,18 +502,7 @@ fn connection_counters_account_for_a_pipelined_run() {
         shards: 2,
         ..ServiceConfig::default()
     });
-    // One I/O thread serves the metrics request in a later loop
-    // iteration than the run's last reply, so every count of the run is
-    // published by then.
-    let server = TcpServer::bind_with(
-        &engine,
-        "127.0.0.1:0",
-        ConnConfig {
-            io_threads: 1,
-            ..ConnConfig::default()
-        },
-    )
-    .unwrap();
+    let server = one_io_thread_server(&engine);
     let mut client = PipelinedClient::connect(server.addr()).unwrap();
     let data = pseudo_random(ACCESS_BYTES * REQUESTS, 0xC0DE);
     for (index, chunk) in data.chunks(ACCESS_BYTES).enumerate() {
@@ -517,6 +527,68 @@ fn connection_counters_account_for_a_pipelined_run() {
     assert!(counter(&json, "reads") >= 1, "{json}");
     assert!(counter(&json, "wakeups") >= 1, "{json}");
 
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// Polls `metrics` until the server has parsed `frames` frames besides
+/// the polls' own metrics requests; returns the last snapshot and how
+/// many polls it took. The snapshot a poll answers counts every earlier
+/// poll's frame and read, never its own.
+fn wait_for_frames_in(metrics: &mut TcpClient, frames: u64) -> (String, u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut polls = 0;
+    loop {
+        let json = metrics.metrics_json().unwrap();
+        if counter(&json, "frames_in") >= frames + polls {
+            return (json, polls);
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the server never parsed {frames} frames: {json}"
+        );
+        polls += 1;
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Submissions stay queued until a flush point, and `flush` alone
+/// delivers them, with the client never reading: the corked window
+/// leaves in one write, so the server reads it in at most two socket
+/// reads — not one read per request.
+#[test]
+fn flush_delivers_a_corked_window_in_at_most_two_reads() {
+    const REQUESTS: u64 = 16;
+    let engine = Engine::start(ServiceConfig {
+        shards: 2,
+        ..ServiceConfig::default()
+    });
+    let server = one_io_thread_server(&engine);
+    let mut client = PipelinedClient::connect(server.addr()).unwrap();
+    let mut metrics = TcpClient::connect(server.addr()).unwrap();
+    let data = pseudo_random(ACCESS_BYTES * REQUESTS as usize, 0xF1A5);
+    for (index, chunk) in data.chunks(ACCESS_BYTES).enumerate() {
+        client.submit(&request(index as u64 % 4, chunk)).unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    let queued = metrics.metrics_json().unwrap();
+    assert_eq!(counter(&queued, "frames_in"), 0, "{queued}");
+
+    client.flush().unwrap();
+    // The probe above is one more frame, and one more read: each
+    // metrics request is one 8-byte frame, read in one call.
+    let (json, polls) = wait_for_frames_in(&mut metrics, REQUESTS + 1);
+    assert_eq!(counter(&json, "frames_in"), REQUESTS + 1 + polls, "{json}");
+    let corked_reads = counter(&json, "reads") - 1 - polls;
+    assert!(
+        (1..=2).contains(&corked_reads),
+        "{corked_reads} reads: {json}"
+    );
+
+    let mut reply = EncodeReply::new();
+    for _ in 0..REQUESTS {
+        assert!(client.next_completion(&mut reply).unwrap().is_ok());
+    }
     server.shutdown();
     engine.shutdown();
 }

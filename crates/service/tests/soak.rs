@@ -100,6 +100,11 @@ fn open_and_drive(addr: &str, base: u64, count: usize) -> Vec<PipelinedClient> {
                 .expect("submit");
             submitted[index].push(id);
         }
+        // Submissions are write-behind: put every connection's round on
+        // the wire before the next, as an unbuffered client would.
+        for client in &mut clients {
+            client.flush().expect("flush");
+        }
     }
 
     // Drain every completion: request-id matching and within-session
