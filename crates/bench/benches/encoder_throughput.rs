@@ -13,11 +13,11 @@
 //!   allocating OPT encoder (per-burst `Vec`s, lane-word reconstruction in
 //!   the sweep), kept as the before/after yardstick,
 //! * `trace` — whole-trace encoding with carried bus state
-//!   ([`TraceEncoder`]) and the multi-group [`BusSession`], serial and
-//!   rayon-parallel,
-//! * `slab` — whole batches through [`DbiEncoder::encode_slab_into`]:
-//!   the OPT carried-state kernel (priced and masks-only) against the
-//!   serial per-burst chain and the default heuristic loop,
+//!   ([`TraceEncoder`]) and the multi-group [`BusSession`],
+//! * `slab` — whole batches as one chain through
+//!   [`DbiEncoder::encode_lanes_into`]: the OPT carried-state kernel
+//!   (priced and masks-only) against the serial per-burst chain and the
+//!   default heuristic loop,
 //! * `slab_lanes` — the vectorised multi-chain plane
 //!   ([`DbiEncoder::encode_lanes_into`]): the same burst set as eight
 //!   independent lane-group chains, run as parallel lanes of one
@@ -30,7 +30,10 @@
 //! trajectory of the encode hot path is tracked from this change on.
 //! The headline `slab_ns_per_burst` row is the lanes masks-only encode
 //! (gated below 5 ns/burst), and `decode_over_encode` gates the lanes
-//! decode at 1.2x the priced lanes encode.
+//! decode at 1.2x the priced lanes encode. The `slab_chain_*` rows time
+//! the same burst set as a one-chain `encode_lanes_into` (the scalar
+//! sweep), and `decode_chain_ns_per_burst` a one-chain
+//! `decode_lanes_into`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dbi_bench::{random_buffer, random_bursts};
@@ -269,9 +272,10 @@ fn encoder_throughput(c: &mut Criterion) {
     });
     group.finish();
 
-    // The batched slab plane: the whole burst set in one encode_slab_into
-    // call — the OPT kernel over contiguous storage vs. the default
-    // per-burst loop the heuristics ride, vs. the serial mask chain.
+    // The batched slab plane: the whole burst set as one chain in one
+    // encode_lanes_into call — the OPT kernel over contiguous storage vs.
+    // the default per-burst loop the heuristics ride, vs. the serial mask
+    // chain.
     let mut slab = BurstSlab::with_capacity(8, bursts.len());
     slab.extend_from_bursts(&bursts).expect("uniform bursts");
     let mut group = c.benchmark_group("slab_encode");
@@ -279,8 +283,8 @@ fn encoder_throughput(c: &mut Criterion) {
     group.bench_function("opt_fixed_kernel", |b| {
         let opt = OptFixedEncoder::new();
         b.iter(|| {
-            let mut carried = state;
-            opt.encode_slab_into(black_box(&mut slab), &mut carried);
+            let mut carried = [state];
+            opt.encode_lanes_into(black_box(&mut slab), &mut carried);
             black_box(slab.total())
         });
     });
@@ -288,8 +292,8 @@ fn encoder_throughput(c: &mut Criterion) {
         let opt = OptFixedEncoder::new();
         slab.set_pricing(false);
         b.iter(|| {
-            let mut carried = state;
-            opt.encode_slab_into(black_box(&mut slab), &mut carried);
+            let mut carried = [state];
+            opt.encode_lanes_into(black_box(&mut slab), &mut carried);
             black_box(carried)
         });
         slab.set_pricing(true);
@@ -304,8 +308,8 @@ fn encoder_throughput(c: &mut Criterion) {
     });
     group.bench_function("dc_default_loop", |b| {
         b.iter(|| {
-            let mut carried = state;
-            Scheme::Dc.encode_slab_into(black_box(&mut slab), &mut carried);
+            let mut carried = [state];
+            Scheme::Dc.encode_lanes_into(black_box(&mut slab), &mut carried);
             black_box(slab.total())
         });
     });
@@ -367,8 +371,8 @@ fn encoder_throughput(c: &mut Criterion) {
         // decodes alternate wire/payload images — identical work per
         // iteration either way.
         b.iter(|| {
-            let mut carried = state;
-            opt.decode_slab_into(black_box(&mut rx_slab), &mut carried)
+            let mut carried = [state];
+            opt.decode_lanes_into(black_box(&mut rx_slab), &mut carried)
                 .expect("masks stay loaded");
             black_box(carried)
         });
@@ -398,7 +402,7 @@ fn encoder_throughput(c: &mut Criterion) {
     });
     group.finish();
 
-    // Multi-group channel streams, serial vs rayon-parallel.
+    // Multi-group channel streams through the per-burst session path.
     let config = ChannelConfig::gddr5x();
     let data = random_buffer(256 * 1024);
     let mut group = c.benchmark_group("channel_stream_256KiB");
@@ -408,12 +412,6 @@ fn encoder_throughput(c: &mut Criterion) {
         b.iter(|| {
             let mut session = BusSession::new(&config, Scheme::OptFixed);
             black_box(session.encode_stream(black_box(&data)).unwrap())
-        });
-    });
-    group.bench_function("session_parallel", |b| {
-        b.iter(|| {
-            let mut session = BusSession::new(&config, Scheme::OptFixed);
-            black_box(session.encode_stream_parallel(black_box(&data)).unwrap())
         });
     });
     group.finish();
@@ -477,17 +475,18 @@ fn write_bench_json(bursts: &[Burst], state: &BusState) {
         black_box(opt.encode(black_box(burst), state));
     });
 
-    // The slab kernel over the same burst set: whole-batch encode, one
-    // call — the headline of the batched data plane. Two numbers:
+    // The one-chain slab kernel over the same burst set: whole-batch
+    // encode, one call — the headline of the batched data plane. Two
+    // numbers:
     // masks-only (the exact work `encode_mask` does per burst, so the
     // like-for-like amortisation comparison) and the priced pass that
     // also fills the per-burst cost rows (what the service workers run).
     let time_slab = |slab: &mut BurstSlab| {
         let mut best = f64::INFINITY;
         for _ in 0..30 {
-            let mut carried = *state;
+            let mut carried = [*state];
             let start = Instant::now();
-            opt.encode_slab_into(slab, &mut carried);
+            opt.encode_lanes_into(slab, &mut carried);
             black_box(carried);
             let ns = start.elapsed().as_secs_f64() * 1e9 / bursts.len() as f64;
             if ns < best {
@@ -570,9 +569,9 @@ fn write_bench_json(bursts: &[Burst], state: &BusState) {
     rx_slab.load_masks(&wire_masks).expect("one mask per burst");
     let mut decode_chain_ns = f64::INFINITY;
     for _ in 0..30 {
-        let mut carried = *state;
+        let mut carried = [*state];
         let start = Instant::now();
-        opt.decode_slab_into(&mut rx_slab, &mut carried)
+        opt.decode_lanes_into(&mut rx_slab, &mut carried)
             .expect("masks stay loaded");
         black_box(carried);
         let ns = start.elapsed().as_secs_f64() * 1e9 / bursts.len() as f64;

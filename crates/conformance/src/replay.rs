@@ -5,8 +5,8 @@
 //!
 //! 1. **mask** — the per-burst [`DbiEncoder::encode_mask`] fast path plus
 //!    the decode plane's [`DbiDecoder::decode_mask`];
-//! 2. **slab** — the batched [`DbiEncoder::encode_slab_into`] kernels and
-//!    [`DbiDecoder::decode_slab_into`];
+//! 2. **slab** — the batched [`DbiEncoder::encode_lanes_into`] kernels
+//!    and [`DbiDecoder::decode_lanes_into`], one chain per vector;
 //! 3. **session** — multi-group [`dbi_mem::BusSession`] streams, encode
 //!    and decode, with chains interleaved across lane groups;
 //! 4. **tcp** — the full service: a [`dbi_service::TcpServer`] round trip
@@ -111,7 +111,7 @@ pub fn check_slab_level(corpus: &Corpus) -> Result<ReplayStats, String> {
             slab.push_bytes(bytes).expect("golden bursts fit the slab");
         }
         let mut state = BusState::idle();
-        scheme.encode_slab_into(&mut slab, &mut state);
+        scheme.encode_lanes_into(&mut slab, core::slice::from_mut(&mut state));
 
         let masks: Vec<u32> = slab.masks().iter().map(|m| m.bits()).collect();
         if masks != vector.masks {
@@ -142,7 +142,7 @@ pub fn check_slab_level(corpus: &Corpus) -> Result<ReplayStats, String> {
             .map_err(|err| context(&format!("load_masks: {err}")))?;
         let mut rx_state = BusState::idle();
         scheme
-            .decode_slab_into(&mut rx_slab, &mut rx_state)
+            .decode_lanes_into(&mut rx_slab, core::slice::from_mut(&mut rx_state))
             .map_err(|err| context(&format!("slab decode: {err}")))?;
         let payload: Vec<u8> = vector.bursts.concat();
         if rx_slab.bytes() != payload {

@@ -27,16 +27,15 @@
 //! | [`DbiEncoder::encode_mask`] | [`DbiDecoder::decode_mask`] | one burst, caller-owned buffer |
 //! | [`DbiEncoder::encode_into`] | [`DbiDecoder::decode_into`] | one materialised [`EncodedBurst`] |
 //! | [`DbiEncoder::encode`] | [`DbiDecoder::decode`] | one burst, fresh [`Burst`] |
-//! | [`DbiEncoder::encode_slab_into`] | [`DbiDecoder::decode_slab_into`] | a whole [`BurstSlab`], carried state |
+//! | [`DbiEncoder::encode_lanes_into`] | [`DbiDecoder::decode_lanes_into`] | a whole [`BurstSlab`] of one or more chains, carried state |
 //!
 //! All buffer-reusing forms are allocation-free once their buffers are
-//! warm. The slab form also carries the **receiver's** [`BusState`]
-//! across bursts and, with pricing on, re-prices the wire activity from
-//! the received lane levels ([`crate::word::LaneWord::from_wire`]) — an
-//! independent
-//! path from the encode-side accounting, so the two sides cross-check
-//! each other (the service's verify mode and the conformance suite build
-//! on exactly this).
+//! warm. The slab form also carries each chain's **receiver**
+//! [`BusState`] across bursts and, with pricing on, re-prices the wire
+//! activity from the received lane levels — an independent path from
+//! the encode-side accounting, so the two sides cross-check each other
+//! (the service's verify mode and the conformance suite build on exactly
+//! this).
 //!
 //! ```
 //! # fn main() -> Result<(), dbi_core::DbiError> {
@@ -124,29 +123,17 @@ pub trait DbiDecoder {
         Burst::new(bytes)
     }
 
-    /// Decodes every burst of a [`BurstSlab`] in place, carrying the
-    /// **receiver's** `state` across bursts — the mirror of
-    /// [`DbiEncoder::encode_slab_into`]. On entry the slab's payload area
+    /// Decodes a slab holding the bursts of `states.len()` independent
+    /// chains, chain-major, in place, each with its own carried
+    /// **receiver** state — the mirror of
+    /// [`DbiEncoder::encode_lanes_into`]. On entry the slab's payload area
     /// holds wire bytes and its mask column the DBI-lane decisions
     /// ([`BurstSlab::load_masks`]); on return the payload area holds the
-    /// recovered bytes, `state` the post-slab receiver lane state, and —
-    /// with pricing on — the cost rows the wire activity as re-priced
-    /// from the received lane levels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbiError::MaskCountMismatch`] when the mask column does
-    /// not cover every burst; the slab is unchanged.
-    fn decode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) -> Result<()> {
-        slab.decode_in_place(state)
-    }
-
-    /// Decodes a slab holding the bursts of `states.len()` independent
-    /// chains, chain-major, each with its own carried receiver state —
-    /// the mirror of [`DbiEncoder::encode_lanes_into`]. Rides the
-    /// runtime-selected kernel tier
-    /// ([`BurstSlab::decode_in_place_chains`]); with pricing on, the
-    /// SWAR tier re-prices eight beats per popcount.
+    /// recovered bytes, `states` the post-slab receiver lane states, and —
+    /// with pricing on — the cost rows the wire activity as re-priced from
+    /// the received lane levels. Rides the runtime-selected kernel tier
+    /// ([`BurstSlab::decode_in_place_chains`]); with pricing on, the SWAR
+    /// tier re-prices eight beats per popcount.
     ///
     /// # Errors
     ///
@@ -262,8 +249,8 @@ mod tests {
             // Transmit: encode the payload slab, then drive the wire image.
             let mut tx_slab = BurstSlab::new(burst_len);
             tx_slab.extend_from_bytes(&payloads).unwrap();
-            let mut tx_state = BusState::idle();
-            scheme.encode_slab_into(&mut tx_slab, &mut tx_state);
+            let mut tx_state = [BusState::idle()];
+            scheme.encode_lanes_into(&mut tx_slab, &mut tx_state);
 
             let mut wire = payloads.clone();
             for (index, mask) in tx_slab.masks().iter().enumerate() {
@@ -274,9 +261,9 @@ mod tests {
             let mut rx_slab = BurstSlab::new(burst_len);
             rx_slab.extend_from_bytes(&wire).unwrap();
             rx_slab.load_masks(tx_slab.masks()).unwrap();
-            let mut rx_state = BusState::idle();
+            let mut rx_state = [BusState::idle()];
             scheme
-                .decode_slab_into(&mut rx_slab, &mut rx_state)
+                .decode_lanes_into(&mut rx_slab, &mut rx_state)
                 .unwrap();
 
             assert_eq!(rx_slab.bytes(), &payloads[..], "{scheme}: payload");
@@ -295,10 +282,12 @@ mod tests {
         slab.load_masks(&[InversionMask::from_bits(0b1010); 2])
             .unwrap();
         slab.set_pricing(false);
-        let mut state = BusState::idle();
-        Scheme::Raw.decode_slab_into(&mut slab, &mut state).unwrap();
+        let mut state = [BusState::idle()];
+        Scheme::Raw
+            .decode_lanes_into(&mut slab, &mut state)
+            .unwrap();
         assert!(slab.costs().is_empty());
-        assert_ne!(state, BusState::idle());
+        assert_ne!(state[0], BusState::idle());
     }
 
     #[test]
@@ -317,12 +306,12 @@ mod tests {
             Err(DbiError::MaskTooWide { .. })
         ));
         let before = slab.bytes().to_vec();
-        let mut state = BusState::idle();
+        let mut state = [BusState::idle()];
         assert!(matches!(
-            Scheme::Raw.decode_slab_into(&mut slab, &mut state),
+            Scheme::Raw.decode_lanes_into(&mut slab, &mut state),
             Err(DbiError::MaskCountMismatch { .. })
         ));
         assert_eq!(slab.bytes(), &before[..], "slab unchanged on error");
-        assert_eq!(state, BusState::idle());
+        assert_eq!(state[0], BusState::idle());
     }
 }

@@ -235,21 +235,8 @@ impl DbiEncoder for EncodePlan {
     }
 
     /// One static match for the whole slab; the optimal variants reach
-    /// their carried-state LUT kernel through this dispatch.
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        match &self.encoder {
-            PlanEncoder::Raw(e) => e.encode_slab_into(slab, state),
-            PlanEncoder::Dc(e) => e.encode_slab_into(slab, state),
-            PlanEncoder::Ac(e) => e.encode_slab_into(slab, state),
-            PlanEncoder::AcDc(e) => e.encode_slab_into(slab, state),
-            PlanEncoder::Greedy(e) => e.encode_slab_into(slab, state),
-            PlanEncoder::Opt(e) => e.encode_slab_into(slab, state),
-        }
-    }
-
-    /// The multi-chain dispatch mirror of
-    /// [`DbiEncoder::encode_slab_into`]: the optimal variants reach the
-    /// lockstep SIMD kernels ([`crate::simd`]) through this match.
+    /// their carried-state LUT and lockstep SIMD kernels
+    /// ([`crate::simd`]) through this dispatch.
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
         match &self.encoder {
             PlanEncoder::Raw(e) => e.encode_lanes_into(slab, states),

@@ -17,7 +17,7 @@
 //!
 //! ## Batch and streaming encoding
 //!
-//! Every scheme provides three encoding entry points:
+//! Every scheme provides four encoding entry points:
 //!
 //! * [`DbiEncoder::encode_mask`] — the throughput path: returns only the
 //!   per-byte decisions as an [`InversionMask`]. Every scheme in this crate
@@ -29,6 +29,9 @@
 //! * [`DbiEncoder::encode`] — the convenient form, returning a fresh
 //!   [`EncodedBurst`] (whose inline symbol buffer still keeps standard
 //!   BL8/BL16 bursts off the heap).
+//! * [`DbiEncoder::encode_lanes_into`] — the batched form: every burst of
+//!   a [`BurstSlab`] holding one or more independent chains, each with
+//!   its own carried [`BusState`].
 
 mod ac;
 mod acdc;
@@ -92,36 +95,25 @@ pub trait DbiEncoder {
             .expect("encoders produce masks that are valid for their burst");
     }
 
-    /// Encodes every burst of a [`BurstSlab`] in one call, carrying
-    /// `state` across bursts exactly as a serial [`DbiEncoder::encode_mask`]
-    /// chain would, and filling the slab's per-burst mask and cost rows.
-    /// On return `state` holds the lane levels after the slab's last
-    /// burst.
+    /// Encodes every burst of a [`BurstSlab`] holding `states.len()`
+    /// **independent chains** (one per lane group of a channel), laid out
+    /// chain-major: chain `c`'s bursts occupy rows
+    /// `c·per_chain .. (c+1)·per_chain`, and each chain carries its own
+    /// [`BusState`] across its bursts exactly as a serial
+    /// [`DbiEncoder::encode_mask`] chain would. Fills the slab's per-burst
+    /// mask and cost rows; on return each state holds its chain's lane
+    /// levels after its last burst. One chain is
+    /// `encode_lanes_into(slab, core::slice::from_mut(state))`.
     ///
-    /// The default loops the per-burst fast path through the slab's
-    /// reusable scratch buffer (allocation-free once the slab is warm);
-    /// the optimal trellis encoders override it with a carried-state LUT
-    /// kernel that walks the contiguous payload directly, amortising
-    /// dispatch and bounds checks across the whole slab. Every override is
-    /// **bit-identical** to this default (`tests/slab_differential.rs`).
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        slab.encode_with(state, |burst, state| self.encode_mask(burst, state));
-    }
-
-    /// Encodes a slab holding the bursts of `states.len()` **independent
-    /// chains** (one per lane group of a channel), laid out chain-major:
-    /// chain `c`'s bursts occupy rows `c·per_chain .. (c+1)·per_chain`,
-    /// and each chain carries its own [`BusState`]. Semantically
-    /// equivalent to `states.len()` separate
-    /// [`DbiEncoder::encode_slab_into`] calls over the per-chain row
-    /// ranges — but because the chains are independent, the optimal
-    /// encoders override this with lockstep bit-sliced/SIMD kernels
-    /// ([`crate::simd`]) that sweep four or eight chains as parallel
-    /// lanes of one trellis recurrence.
-    ///
-    /// The default runs the serial per-burst chain per lane group, which
-    /// is the reference semantics every override is differential-tested
-    /// against.
+    /// The default runs the serial per-burst chain per lane group through
+    /// the slab's reusable scratch buffer (allocation-free once the slab
+    /// is warm) — the reference semantics every override is
+    /// differential-tested against. The optimal encoders override it with
+    /// carried-state LUT kernels that walk the contiguous payload
+    /// directly and, because the chains are independent, sweep four or
+    /// eight chains as parallel lanes of one trellis recurrence
+    /// ([`crate::simd`]). Every override is **bit-identical** to this
+    /// default (`tests/slab_differential.rs`).
     ///
     /// # Panics
     ///
@@ -149,10 +141,6 @@ impl<T: DbiEncoder + ?Sized> DbiEncoder for &T {
         (**self).encode_into(burst, state, out);
     }
 
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        (**self).encode_slab_into(slab, state);
-    }
-
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
         (**self).encode_lanes_into(slab, states);
     }
@@ -175,10 +163,6 @@ impl<T: DbiEncoder + ?Sized> DbiEncoder for Box<T> {
         (**self).encode_into(burst, state, out);
     }
 
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        (**self).encode_slab_into(slab, state);
-    }
-
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
         (**self).encode_lanes_into(slab, states);
     }
@@ -199,10 +183,6 @@ impl<T: DbiEncoder + ?Sized> DbiEncoder for Arc<T> {
 
     fn encode_into(&self, burst: &Burst, state: &BusState, out: &mut EncodedBurst) {
         (**self).encode_into(burst, state, out);
-    }
-
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        (**self).encode_slab_into(slab, state);
     }
 
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
@@ -381,10 +361,6 @@ impl DbiEncoder for Scheme {
 
     /// One dispatch for the whole slab — `Scheme`'s per-burst calls pay a
     /// `with_encoder` match each; the slab path resolves the encoder once.
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        self.with_encoder(|encoder| encoder.encode_slab_into(slab, state));
-    }
-
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
         self.with_encoder(|encoder| encoder.encode_lanes_into(slab, states));
     }

@@ -320,9 +320,9 @@ impl OptEncoder {
         )
     }
 
-    /// The slab burst loops, shared between the priced and masks-only
-    /// modes. Always inlined so the standard-length call sites in
-    /// [`DbiEncoder::encode_slab_into`] propagate their literal
+    /// The slab burst loops of one chain, shared between the priced and
+    /// masks-only modes. Always inlined so the standard-length call sites
+    /// in [`OptEncoder::encode_lanes_into_with`] propagate their literal
     /// `burst_len` into the chunking and the kernels' sweeps.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
@@ -367,10 +367,11 @@ impl OptEncoder {
     /// (c+1)·per_chain`), each carrying its own [`BusState`] — the shape
     /// of a multi-lane-group channel. Chains are swept in lockstep
     /// blocks: eight at a time on the AVX2 BL8 kernel, four at a time on
-    /// the SSE2/NEON/bit-sliced tiers, scalar for the remainder (and for
-    /// [`KernelKind::Scalar`], which runs every chain through the scalar
-    /// oracle). Arch kernels requested on an architecture where they are
-    /// not compiled fall back to the bit-sliced tier.
+    /// the SSE2/NEON tiers, and through the scalar oracle for the
+    /// remainder (and for every chain under [`KernelKind::Scalar`]). A
+    /// tier missing from [`crate::simd::available_kernels`] — not
+    /// compiled for this target, or not supported by the running CPU —
+    /// runs the scalar sweep.
     ///
     /// # Panics
     ///
@@ -387,6 +388,11 @@ impl OptEncoder {
             chains > 0,
             "lane-group encode needs at least one chain state"
         );
+        let kernel = if crate::simd::available_kernels().contains(&kernel) {
+            kernel
+        } else {
+            KernelKind::Scalar
+        };
         let burst_len = slab.burst_len();
         let pricing = slab.pricing();
         let (bytes, masks, costs) = slab.encode_parts_mut();
@@ -417,8 +423,9 @@ impl OptEncoder {
                 } else {
                     &mut []
                 };
-                // SAFETY: `Avx2` is only selected or listed as available
-                // after runtime AVX2 detection succeeded.
+                // SAFETY: `kernel` passed the `available_kernels` check
+                // above, which lists `Avx2` only after runtime AVX2
+                // detection succeeded.
                 #[allow(unsafe_code)]
                 unsafe {
                     crate::simd::encode_block8_avx2(
@@ -471,33 +478,61 @@ impl OptEncoder {
             }
         }
         for state in states[c..].iter_mut() {
+            // The inter-burst chain is two scalars: the data byte the wires
+            // last carried and the DBI lane level — and of the two, only the
+            // one-bit level is a *computed* value (the byte comes straight
+            // from the input), so consecutive bursts' sweeps overlap in the
+            // pipeline. A LaneWord is rebuilt exactly once, at the end, for
+            // the reported state.
             let entry = state.last();
             let mut last_data = entry.decode();
             let mut prev_low = entry.dbi().is_inverted();
             let rows = c * per_chain..(c + 1) * per_chain;
-            let cost_block: &mut [CostBreakdown] = if pricing {
-                &mut costs[rows.clone()]
-            } else {
-                &mut []
-            };
-            self.slab_runs(
-                burst_len,
-                &bytes[rows.start * burst_len..rows.end * burst_len],
-                &mut masks[rows.clone()],
-                cost_block,
-                pricing,
-                &mut last_data,
-                &mut prev_low,
-            );
+            let bytes = &bytes[rows.start * burst_len..rows.end * burst_len];
+            let masks = &mut masks[rows.clone()];
+            let costs: &mut [CostBreakdown] = if pricing { &mut costs[rows] } else { &mut [] };
+            // Dispatching on the standard burst lengths hands `slab_runs` a
+            // literal trip count: the always-inlined copies get their sweeps
+            // fully unrolled — the geometry of a slab is fixed, which is an
+            // edge the per-burst entry points can never exploit.
+            match burst_len {
+                8 => self.slab_runs(
+                    8,
+                    bytes,
+                    masks,
+                    costs,
+                    pricing,
+                    &mut last_data,
+                    &mut prev_low,
+                ),
+                16 => self.slab_runs(
+                    16,
+                    bytes,
+                    masks,
+                    costs,
+                    pricing,
+                    &mut last_data,
+                    &mut prev_low,
+                ),
+                _ => self.slab_runs(
+                    burst_len,
+                    bytes,
+                    masks,
+                    costs,
+                    pricing,
+                    &mut last_data,
+                    &mut prev_low,
+                ),
+            }
             *state = BusState::new(LaneWord::encode_byte(last_data, prev_low));
             c += 1;
         }
     }
 
-    /// Routes a four-chain block to the requested tier, falling back to
-    /// the portable bit-sliced kernel for arch tiers that are not
-    /// compiled on this target (and for [`KernelKind::Avx2`]'s non-BL8
-    /// geometries, which ride the SSE2 four-lane kernel).
+    /// Routes a four-chain block to the requested tier's vector kernel
+    /// ([`KernelKind::Avx2`]'s four-chain blocks ride the SSE2 kernel).
+    /// Only reached with an available non-scalar tier, each of which has
+    /// a four-chain kernel compiled for this target.
     #[allow(clippy::too_many_arguments)]
     fn encode_block4(
         &self,
@@ -512,31 +547,22 @@ impl OptEncoder {
         prev_low: &mut [bool; 4],
     ) {
         match kernel {
-            KernelKind::Sse2 | KernelKind::Avx2 => {
-                // SAFETY: SSE2 is unconditionally part of the x86-64
-                // baseline; the kernel's `#[target_feature]` annotation
-                // only exists to satisfy the safe-intrinsics rules.
-                #[cfg(target_arch = "x86_64")]
-                #[allow(unsafe_code)]
-                return unsafe {
-                    crate::simd::encode_block4_sse2(
-                        self, burst_len, per_chain, bytes, masks, costs, pricing, last_data,
-                        prev_low,
-                    )
-                };
-            }
-            KernelKind::Neon => {
-                #[cfg(target_arch = "aarch64")]
-                return crate::simd::encode_block4_neon(
+            // SAFETY: SSE2 is unconditionally part of the x86-64
+            // baseline; the kernel's `#[target_feature]` annotation only
+            // exists to satisfy the safe-intrinsics rules.
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            KernelKind::Sse2 | KernelKind::Avx2 => unsafe {
+                crate::simd::encode_block4_sse2(
                     self, burst_len, per_chain, bytes, masks, costs, pricing, last_data, prev_low,
                 );
-            }
-            _ => {}
+            },
+            #[cfg(target_arch = "aarch64")]
+            KernelKind::Neon => crate::simd::encode_block4_neon(
+                self, burst_len, per_chain, bytes, masks, costs, pricing, last_data, prev_low,
+            ),
+            _ => unreachable!("{kernel} has no four-chain kernel on this target"),
         }
-        #[allow(unreachable_code)]
-        crate::simd::encode_block4_bitsliced(
-            self, burst_len, per_chain, bytes, masks, costs, pricing, last_data, prev_low,
-        )
     }
 }
 
@@ -582,72 +608,16 @@ impl DbiEncoder for OptEncoder {
         self.mask_kernel(bytes, state.last())
     }
 
-    /// The carried-state slab kernel: one fused pass per burst over the
-    /// slab's contiguous payload — no [`Burst`] construction, no
-    /// per-burst dispatch, no separate pricing walk, and `chunks_exact`
-    /// hoists the bounds checks out of the burst loop. With
-    /// [`BurstSlab::set_pricing`] off the pass drops the cost
-    /// accumulators entirely and runs the bare `encode_mask` sweep over
-    /// the contiguous bytes. Bit-identical to the default per-burst
-    /// chain either way: the sweep is the `encode_mask` recurrence and
-    /// the fused accumulators reproduce [`InversionMask::breakdown`]
-    /// exactly (`tests/slab_differential.rs`).
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        let burst_len = slab.burst_len();
-        let pricing = slab.pricing();
-        let (bytes, masks, costs) = slab.encode_parts_mut();
-        if bytes.is_empty() {
-            return;
-        }
-        // The inter-burst chain is two scalars: the data byte the wires
-        // last carried and the DBI lane level — and of the two, only the
-        // one-bit level is a *computed* value (the byte comes straight
-        // from the input), so consecutive bursts' sweeps overlap in the
-        // pipeline. A LaneWord is rebuilt exactly once, at the end, for
-        // the reported state.
-        let entry = state.last();
-        let mut last_data = entry.decode();
-        let mut prev_low = entry.dbi().is_inverted();
-        // Dispatching on the standard burst lengths hands `slab_runs` a
-        // literal trip count: the always-inlined copies get their sweeps
-        // fully unrolled — the geometry of a slab is fixed, which is an
-        // edge the per-burst entry points can never exploit.
-        match burst_len {
-            8 => self.slab_runs(
-                8,
-                bytes,
-                masks,
-                costs,
-                pricing,
-                &mut last_data,
-                &mut prev_low,
-            ),
-            16 => self.slab_runs(
-                16,
-                bytes,
-                masks,
-                costs,
-                pricing,
-                &mut last_data,
-                &mut prev_low,
-            ),
-            _ => self.slab_runs(
-                burst_len,
-                bytes,
-                masks,
-                costs,
-                pricing,
-                &mut last_data,
-                &mut prev_low,
-            ),
-        }
-        *state = BusState::new(LaneWord::encode_byte(last_data, prev_low));
-    }
-
-    /// The multi-chain slab encode rides the runtime-selected kernel
-    /// tier ([`crate::simd::selected_kernel`]): lockstep SIMD or
-    /// bit-sliced sweeps across the chains, scalar when pinned via
-    /// `DBI_FORCE_SCALAR`. See [`OptEncoder::encode_lanes_into_with`].
+    /// The slab encode rides the runtime-selected kernel tier
+    /// ([`crate::simd::selected_kernel`]): lockstep SIMD sweeps across the
+    /// chains, scalar when pinned via `DBI_FORCE_SCALAR`. One fused pass
+    /// per burst over the slab's contiguous payload — no [`Burst`]
+    /// construction, no per-burst dispatch, no separate pricing walk; with
+    /// [`BurstSlab::set_pricing`] off the pass drops the cost accumulators
+    /// and runs the bare `encode_mask` sweep. Bit-identical to the
+    /// default per-burst chain either way
+    /// (`tests/slab_differential.rs`). See
+    /// [`OptEncoder::encode_lanes_into_with`].
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
         self.encode_lanes_into_with(crate::simd::selected_kernel(), slab, states);
     }
@@ -706,10 +676,6 @@ impl DbiEncoder for OptFixedEncoder {
     #[inline]
     fn encode_mask(&self, burst: &Burst, state: &BusState) -> InversionMask {
         self.inner.encode_mask(burst, state)
-    }
-
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        self.inner.encode_slab_into(slab, state);
     }
 
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {

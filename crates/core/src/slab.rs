@@ -10,16 +10,16 @@
 //! payload bytes burst-major in one `Vec<u8>`, one [`InversionMask`] word
 //! per burst, one [`CostBreakdown`] row per burst.
 //!
-//! [`DbiEncoder::encode_slab_into`] encodes a whole slab in one call,
-//! carrying a [`BusState`] across the bursts exactly as a serial
-//! `encode_mask` chain would. The default implementation loops the
-//! per-burst path through the slab's reusable scratch buffer; the optimal
-//! trellis encoders override it with a carried-state LUT kernel that walks
-//! the contiguous payload directly — no `Burst` values, one dispatch per
-//! slab, bounds checks amortised by `chunks_exact`. Both paths are
-//! **bit-identical** to the serial per-burst chain (differential-tested in
-//! `tests/slab_differential.rs`) and perform no heap allocation once the
-//! slab's buffers are warm.
+//! [`DbiEncoder::encode_lanes_into`] encodes a whole slab of one or more
+//! independent chains in one call, carrying each chain's [`BusState`]
+//! across its bursts exactly as a serial `encode_mask` chain would. The
+//! default implementation loops the per-burst path through the slab's
+//! reusable scratch buffer; the optimal trellis encoders override it with
+//! carried-state LUT kernels that walk the contiguous payload directly —
+//! no `Burst` values, one dispatch per slab, bounds checks amortised by
+//! `chunks_exact`. Both paths are **bit-identical** to the serial
+//! per-burst chain (differential-tested in `tests/slab_differential.rs`)
+//! and perform no heap allocation once the slab's buffers are warm.
 //!
 //! ```
 //! use dbi_core::{BurstSlab, BusState, DbiEncoder, Scheme};
@@ -27,7 +27,7 @@
 //! let mut slab = BurstSlab::new(8);
 //! slab.extend_from_bytes(&[0x5A; 32]).unwrap(); // four BL8 bursts
 //! let mut state = BusState::idle();
-//! Scheme::OptFixed.encode_slab_into(&mut slab, &mut state);
+//! Scheme::OptFixed.encode_lanes_into(&mut slab, core::slice::from_mut(&mut state));
 //! assert_eq!(slab.masks().len(), 4);
 //! assert_eq!(slab.total(), slab.costs().iter().copied().sum());
 //! ```
@@ -48,7 +48,7 @@ use core::fmt;
 /// * `masks` — one inversion-decision word per burst,
 /// * `costs` — one zero/transition cost row per burst.
 ///
-/// The result arrays are filled by [`DbiEncoder::encode_slab_into`]; until
+/// The result arrays are filled by [`DbiEncoder::encode_lanes_into`]; until
 /// a slab has been encoded they read as [`InversionMask::NONE`] /
 /// [`CostBreakdown::ZERO`]. All buffers retain their capacity across
 /// [`BurstSlab::clear`] / [`BurstSlab::reset`], so a slab reused across
@@ -317,8 +317,8 @@ impl BurstSlab {
     /// Sizes the result arrays to the burst count (zeroing them) and hands
     /// out the three column views an encoder kernel writes through:
     /// `(payload bytes, masks, cost rows)`. For [`DbiEncoder`]
-    /// implementations that override [`DbiEncoder::encode_slab_into`] with
-    /// a direct kernel. The cost column is empty when
+    /// implementations that override [`DbiEncoder::encode_lanes_into`]
+    /// with a direct kernel. The cost column is empty when
     /// [`BurstSlab::pricing`] is off — kernels must skip their pricing
     /// work in that case.
     pub fn encode_parts_mut(&mut self) -> (&[u8], &mut [InversionMask], &mut [CostBreakdown]) {
@@ -338,7 +338,7 @@ impl BurstSlab {
 
     /// Loads a caller-supplied mask column, one mask per burst — how a
     /// **receiver** primes a slab whose payload area holds *wire* bytes
-    /// before [`BurstSlab::decode_in_place`]. Any cost rows from a
+    /// before [`BurstSlab::decode_in_place_chains`]. Any cost rows from a
     /// previous encode are cleared (they priced different bytes).
     ///
     /// # Errors
@@ -402,35 +402,22 @@ impl BurstSlab {
     /// the DQ lane levels as received off the wire, is rewritten to the
     /// original payload bytes by undoing the per-beat inversions recorded
     /// in the mask column (loaded via [`BurstSlab::load_masks`] or left
-    /// over from an encode of the same wire image). `state` carries the
-    /// **receiver's** lane state across bursts exactly as the encode side
-    /// carries the transmitter's, and holds the post-slab state on return.
+    /// over from an encode of the same wire image). The bursts are split
+    /// chain-major into `states.len()` runs (chain `c` owns rows
+    /// `c·per_chain .. (c+1)·per_chain`, the layout
+    /// [`DbiEncoder::encode_lanes_into`] encodes), and each state carries
+    /// its chain's **receiver** lane state across bursts exactly as the
+    /// encode side carries the transmitter's.
     ///
     /// With [`BurstSlab::pricing`] on, the per-burst cost rows are filled
-    /// with the wire activity *as observed by the receiver* — reassembled
-    /// from the wire bytes and the DBI lane via
-    /// [`LaneWord::from_wire`](crate::word::LaneWord::from_wire), a
+    /// with the wire activity *as observed by the receiver* — a
     /// deliberately independent path from the encode-side pricing, so a
     /// transmitter and a receiver that disagree about activity expose an
-    /// encode/decode asymmetry instead of hiding it.
-    ///
-    /// This is the engine of
-    /// [`DbiDecoder::decode_slab_into`](crate::decode::DbiDecoder); it
+    /// encode/decode asymmetry instead of hiding it. This is the engine of
+    /// [`DbiDecoder::decode_lanes_into`](crate::decode::DbiDecoder); it
     /// performs no heap allocation once the slab's buffers are warm.
     ///
-    /// # Errors
-    ///
-    /// Returns [`DbiError::MaskCountMismatch`] when the mask column does
-    /// not cover every burst. The slab is unchanged on error.
-    pub fn decode_in_place(&mut self, state: &mut BusState) -> Result<()> {
-        self.decode_in_place_chains(core::slice::from_mut(state))
-    }
-
-    /// [`BurstSlab::decode_in_place`] over multiple independent chains:
-    /// the slab's bursts are split chain-major into `states.len()` runs
-    /// (chain `c` owns rows `c·per_chain .. (c+1)·per_chain`), each
-    /// decoded with its own carried receiver state — the layout
-    /// [`DbiEncoder::encode_lanes_into`] encodes. Dispatches to the
+    /// Dispatches to the
     /// runtime-selected kernel tier ([`crate::simd::selected_kernel`]):
     /// the SWAR kernel re-prices eight beats per popcount where the
     /// scalar tier walks beat-by-beat lane words.
@@ -512,26 +499,15 @@ impl BurstSlab {
         Ok(())
     }
 
-    /// Runs the per-burst closure over every burst in order, carrying
-    /// `state` across bursts and recording each burst's mask and activity
-    /// — the backing of the default [`DbiEncoder::encode_slab_into`].
-    /// Reuses the slab's internal gather buffer, so a warm slab performs
-    /// no heap allocation.
-    pub fn encode_with(
-        &mut self,
-        state: &mut BusState,
-        encode: impl FnMut(&Burst, &BusState) -> InversionMask,
-    ) {
-        self.encode_chains_with(core::slice::from_mut(state), encode);
-    }
-
-    /// [`BurstSlab::encode_with`] over multiple independent chains: the
-    /// bursts are split chain-major into `states.len()` runs (chain `c`
-    /// owns rows `c·per_chain .. (c+1)·per_chain`), each encoded as its
-    /// own serial per-burst chain with its own carried state. This is
-    /// the reference semantics of [`DbiEncoder::encode_lanes_into`] and
-    /// the oracle the lockstep SIMD kernels are differential-tested
-    /// against.
+    /// Runs the per-burst closure over every burst, carrying state and
+    /// recording each burst's mask and activity: the bursts are split
+    /// chain-major into `states.len()` runs (chain `c` owns rows
+    /// `c·per_chain .. (c+1)·per_chain`), each encoded as its own serial
+    /// per-burst chain with its own carried state. This is the backing of
+    /// the default [`DbiEncoder::encode_lanes_into`] and the oracle the
+    /// lockstep SIMD kernels are differential-tested against. Reuses the
+    /// slab's internal gather buffer, so a warm slab performs no heap
+    /// allocation.
     ///
     /// # Panics
     ///
@@ -677,7 +653,9 @@ pub fn encode_slab_serial<E: DbiEncoder + ?Sized>(
     slab: &mut BurstSlab,
     state: &mut BusState,
 ) {
-    slab.encode_with(state, |burst, state| encoder.encode_mask(burst, state));
+    slab.encode_chains_with(core::slice::from_mut(state), |burst, state| {
+        encoder.encode_mask(burst, state)
+    });
 }
 
 #[cfg(test)]
@@ -734,7 +712,7 @@ mod tests {
         let mut slab = BurstSlab::new(8);
         let mut state = BusState::new(crate::word::LaneWord::ALL_ZEROS);
         let before = state;
-        Scheme::OptFixed.encode_slab_into(&mut slab, &mut state);
+        Scheme::OptFixed.encode_lanes_into(&mut slab, core::slice::from_mut(&mut state));
         assert_eq!(state, before);
         assert!(slab.masks().is_empty());
         assert_eq!(slab.total(), CostBreakdown::ZERO);
@@ -765,12 +743,12 @@ mod tests {
 
             let mut solo = BurstSlab::new(8);
             solo.extend_from_bytes(view.bytes()).unwrap();
-            let mut state = BusState::idle();
-            Scheme::OptFixed.encode_slab_into(&mut solo, &mut state);
+            let mut state = [BusState::idle()];
+            Scheme::OptFixed.encode_lanes_into(&mut solo, &mut state);
             assert_eq!(view.masks(), solo.masks());
             assert_eq!(view.costs(), solo.costs());
             assert_eq!(view.total(), solo.total());
-            assert_eq!(states[chain], state);
+            assert_eq!(states[chain], state[0]);
         }
     }
 

@@ -1,13 +1,15 @@
 //! Differential proof of the slab contract: for **every** scheme,
-//! [`DbiEncoder::encode_slab_into`] — including the optimal encoders'
-//! overridden carried-state LUT kernel — is bit-identical to the serial
-//! per-burst `encode_mask` chain: same masks, same per-burst cost rows,
-//! same carried final state.
+//! [`DbiEncoder::encode_lanes_into`] — including the optimal encoders'
+//! overridden carried-state LUT and SIMD kernels, one chain or many — is
+//! bit-identical to the serial per-burst `encode_mask` chain: same masks,
+//! same per-burst cost rows, same carried final state.
 
+use dbi_core::simd::KernelKind;
 use dbi_core::slab::encode_slab_serial;
 use dbi_core::{Burst, BurstSlab, BusState, CostWeights, DbiEncoder, EncodePlan, LaneWord, Scheme};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::slice::from_mut;
 
 fn all_schemes() -> Vec<Scheme> {
     let mut schemes: Vec<Scheme> = Scheme::paper_set().to_vec();
@@ -63,7 +65,7 @@ fn slab_encode_is_bit_identical_to_the_per_burst_chain() {
                     reference_chain(scheme, &slab, initial);
 
                 let mut state = initial;
-                scheme.encode_slab_into(&mut slab, &mut state);
+                scheme.encode_lanes_into(&mut slab, from_mut(&mut state));
                 let label = format!("{scheme} len={burst_len} bursts={bursts}");
                 assert_eq!(slab.masks(), expected_masks.as_slice(), "{label}: masks");
                 assert_eq!(slab.costs(), expected_costs.as_slice(), "{label}: costs");
@@ -87,11 +89,11 @@ fn plan_slab_encode_matches_scheme_slab_encode() {
         let initial = BusState::idle();
 
         let mut scheme_state = initial;
-        scheme.encode_slab_into(&mut by_scheme, &mut scheme_state);
+        scheme.encode_lanes_into(&mut by_scheme, from_mut(&mut scheme_state));
 
         let plan = EncodePlan::new(scheme);
         let mut plan_state = initial;
-        plan.encode_slab_into(&mut by_plan, &mut plan_state);
+        plan.encode_lanes_into(&mut by_plan, from_mut(&mut plan_state));
 
         assert_eq!(by_scheme.masks(), by_plan.masks(), "{scheme}");
         assert_eq!(by_scheme.costs(), by_plan.costs(), "{scheme}");
@@ -111,7 +113,7 @@ fn serial_helper_matches_the_override_for_opt() {
     let mut serial_state = BusState::idle();
     encode_slab_serial(&encoder, &mut serial, &mut serial_state);
     let mut kernel_state = BusState::idle();
-    encoder.encode_slab_into(&mut kernel, &mut kernel_state);
+    encoder.encode_lanes_into(&mut kernel, from_mut(&mut kernel_state));
 
     assert_eq!(serial.masks(), kernel.masks());
     assert_eq!(serial.costs(), kernel.costs());
@@ -127,15 +129,15 @@ fn slab_state_carries_across_successive_slabs() {
 
     let mut one = whole.clone();
     let mut one_state = BusState::idle();
-    Scheme::OptFixed.encode_slab_into(&mut one, &mut one_state);
+    Scheme::OptFixed.encode_lanes_into(&mut one, from_mut(&mut one_state));
 
     let mut head = BurstSlab::new(8);
     head.extend_from_bytes(&whole.bytes()[..16 * 8]).unwrap();
     let mut tail = BurstSlab::new(8);
     tail.extend_from_bytes(&whole.bytes()[16 * 8..]).unwrap();
     let mut split_state = BusState::idle();
-    Scheme::OptFixed.encode_slab_into(&mut head, &mut split_state);
-    Scheme::OptFixed.encode_slab_into(&mut tail, &mut split_state);
+    Scheme::OptFixed.encode_lanes_into(&mut head, from_mut(&mut split_state));
+    Scheme::OptFixed.encode_lanes_into(&mut tail, from_mut(&mut split_state));
 
     assert_eq!(one.masks()[..16], *head.masks());
     assert_eq!(one.masks()[16..], *tail.masks());
@@ -161,9 +163,9 @@ fn masks_only_mode_matches_priced_mode_across_geometries() {
                 let initial = BusState::new(LaneWord::encode_byte(rng.gen(), rng.gen()));
 
                 let mut priced_state = initial;
-                scheme.encode_slab_into(&mut priced, &mut priced_state);
+                scheme.encode_lanes_into(&mut priced, from_mut(&mut priced_state));
                 let mut unpriced_state = initial;
-                scheme.encode_slab_into(&mut unpriced, &mut unpriced_state);
+                scheme.encode_lanes_into(&mut unpriced, from_mut(&mut unpriced_state));
 
                 assert_eq!(
                     priced.masks(),
@@ -191,7 +193,7 @@ fn slab_decode_is_bit_identical_to_the_per_burst_decode_chain() {
                 let payload = slab.bytes().to_vec();
                 let initial = BusState::new(LaneWord::encode_byte(rng.gen(), rng.gen()));
                 let mut tx_state = initial;
-                scheme.encode_slab_into(&mut slab, &mut tx_state);
+                scheme.encode_lanes_into(&mut slab, from_mut(&mut tx_state));
                 let masks = slab.masks().to_vec();
                 let tx_costs = slab.costs().to_vec();
 
@@ -208,7 +210,7 @@ fn slab_decode_is_bit_identical_to_the_per_burst_decode_chain() {
                 rx_slab.load_masks(&masks).unwrap();
                 let mut rx_state = initial;
                 scheme
-                    .decode_slab_into(&mut rx_slab, &mut rx_state)
+                    .decode_lanes_into(&mut rx_slab, from_mut(&mut rx_state))
                     .unwrap();
 
                 // ...against the per-burst decode chain.
@@ -248,9 +250,9 @@ fn masks_only_mode_yields_identical_decisions_and_state() {
         assert!(!unpriced.pricing());
 
         let mut priced_state = BusState::idle();
-        scheme.encode_slab_into(&mut priced, &mut priced_state);
+        scheme.encode_lanes_into(&mut priced, from_mut(&mut priced_state));
         let mut unpriced_state = BusState::idle();
-        scheme.encode_slab_into(&mut unpriced, &mut unpriced_state);
+        scheme.encode_lanes_into(&mut unpriced, from_mut(&mut unpriced_state));
 
         assert_eq!(priced.masks(), unpriced.masks(), "{scheme}: masks");
         assert_eq!(priced_state, unpriced_state, "{scheme}: final state");
@@ -261,7 +263,7 @@ fn masks_only_mode_yields_identical_decisions_and_state() {
         // Switching pricing back on restores the rows on the next encode.
         unpriced.set_pricing(true);
         let mut state = BusState::idle();
-        scheme.encode_slab_into(&mut unpriced, &mut state);
+        scheme.encode_lanes_into(&mut unpriced, from_mut(&mut state));
         assert_eq!(unpriced.costs(), priced.costs(), "{scheme}: rows return");
     }
 }
@@ -270,18 +272,18 @@ fn masks_only_mode_yields_identical_decisions_and_state() {
 fn re_encoding_a_slab_with_another_scheme_overwrites_results() {
     let mut rng = StdRng::seed_from_u64(0x0DD);
     let mut slab = random_slab(&mut rng, 8, 8);
-    let mut state = BusState::idle();
-    Scheme::Dc.encode_slab_into(&mut slab, &mut state);
+    let mut state = [BusState::idle()];
+    Scheme::Dc.encode_lanes_into(&mut slab, &mut state);
     let dc_masks = slab.masks().to_vec();
 
-    let mut state = BusState::idle();
-    Scheme::Ac.encode_slab_into(&mut slab, &mut state);
+    let mut state = [BusState::idle()];
+    Scheme::Ac.encode_lanes_into(&mut slab, &mut state);
     assert_ne!(slab.masks(), dc_masks.as_slice());
     assert_eq!(slab.masks().len(), 8);
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-tier sweeps: every dispatchable kernel vs the scalar oracle
+// Kernel-tier sweeps: every requested kernel vs the scalar oracle
 // ---------------------------------------------------------------------------
 
 fn random_states(rng: &mut StdRng, chains: usize) -> Vec<BusState> {
@@ -290,11 +292,21 @@ fn random_states(rng: &mut StdRng, chains: usize) -> Vec<BusState> {
         .collect()
 }
 
-/// Every available kernel tier — bit-sliced, SSE2, AVX2, NEON, whatever the
-/// CPU offers — must produce bit-identical masks, pricing rows and carried
-/// chain states to the serial per-burst reference, across burst lengths,
-/// chain counts (including the AVX2 eight-chain geometry and its odd
-/// remainders) and masks-only mode.
+/// Every [`KernelKind`] variant, whether or not this target compiles it
+/// or this CPU supports it.
+const ALL_KERNELS: [KernelKind; 4] = [
+    KernelKind::Scalar,
+    KernelKind::Sse2,
+    KernelKind::Avx2,
+    KernelKind::Neon,
+];
+
+/// Every kernel tier — SSE2, AVX2, NEON, available or not — must produce
+/// bit-identical masks, pricing rows and carried chain states to the
+/// `Scalar` tier and to the serial per-burst reference, across burst
+/// lengths, chain counts (including the AVX2 eight-chain geometry and its
+/// odd remainders) and masks-only mode. A tier the target or CPU lacks
+/// must take the scalar fallback, never run its kernel.
 #[test]
 fn lane_kernels_are_bit_identical_to_the_serial_chain_reference() {
     let mut rng = StdRng::seed_from_u64(0x51D3);
@@ -313,7 +325,7 @@ fn lane_kernels_are_bit_identical_to_the_serial_chain_reference() {
                         encoder.encode_mask(burst, state)
                     });
 
-                    for &kernel in dbi_core::simd::available_kernels() {
+                    for kernel in ALL_KERNELS {
                         let mut lanes = slab.clone();
                         let mut states = initial.clone();
                         encoder.encode_lanes_into_with(kernel, &mut lanes, &mut states);
@@ -336,7 +348,6 @@ fn lane_kernels_are_bit_identical_to_the_serial_chain_reference() {
 /// must round-trip the transmitter exactly, across the same geometry sweep.
 #[test]
 fn lane_decode_kernels_match_the_scalar_decode_oracle() {
-    use dbi_core::simd::KernelKind;
     let mut rng = StdRng::seed_from_u64(0xDE5A);
     let encoder = dbi_core::schemes::OptEncoder::new(CostWeights::new(3, 1).unwrap());
     for burst_len in [1usize, 3, 8, 16, 32] {
@@ -394,24 +405,31 @@ fn lane_decode_kernels_match_the_scalar_decode_oracle() {
     }
 }
 
-/// `encode_lanes_into` with one chain must match the single-state slab
-/// kernel (`encode_slab_into`) exactly — lanes dispatch is a strict
-/// generalisation, not a parallel dialect.
+/// `encode_lanes_into` with one chain — the scalar sweep with its BL8/BL16
+/// literal-length dispatch — must match the same chain encoded inside a
+/// packed eight-chain dispatch, where the vector blocks sweep it.
 #[test]
 fn single_chain_lanes_encode_matches_the_slab_kernel() {
     let mut rng = StdRng::seed_from_u64(0x1A4E);
     for scheme in all_schemes() {
-        let mut slab = random_slab(&mut rng, 8, 48);
-        let mut lanes = slab.clone();
-        let initial = BusState::new(LaneWord::encode_byte(rng.gen(), rng.gen()));
+        for burst_len in [8usize, 16] {
+            let mut packed = random_slab(&mut rng, burst_len, 8 * 24);
+            let initial = random_states(&mut rng, 8);
+            let mut packed_states = initial.clone();
+            scheme.encode_lanes_into(&mut packed, &mut packed_states);
 
-        let mut slab_state = initial;
-        scheme.encode_slab_into(&mut slab, &mut slab_state);
-        let mut lane_states = [initial];
-        scheme.encode_lanes_into(&mut lanes, &mut lane_states);
+            for chain in [0usize, 3, 7] {
+                let view = packed.chain_view(chain, 8);
+                let mut solo = BurstSlab::new(burst_len);
+                solo.extend_from_bytes(view.bytes()).unwrap();
+                let mut state = initial[chain];
+                scheme.encode_lanes_into(&mut solo, from_mut(&mut state));
 
-        assert_eq!(slab.masks(), lanes.masks(), "{scheme}: masks");
-        assert_eq!(slab.costs(), lanes.costs(), "{scheme}: costs");
-        assert_eq!(slab_state, lane_states[0], "{scheme}: state");
+                let label = format!("{scheme} len={burst_len} chain={chain}");
+                assert_eq!(solo.masks(), view.masks(), "{label}: masks");
+                assert_eq!(solo.costs(), view.costs(), "{label}: costs");
+                assert_eq!(state, packed_states[chain], "{label}: state");
+            }
+        }
     }
 }

@@ -167,14 +167,17 @@ fn bl8_fast_paths_never_touch_the_heap() {
     for _ in 0..64 {
         slab.push_bytes(burst.bytes()).unwrap();
     }
-    let mut carried = state;
-    Scheme::Dc.encode_slab_into(&mut slab, &mut carried); // warm the scratch
+    // Warm the scratch, and the once-per-process kernel-dispatch probe the
+    // OPT lanes path reads.
+    let mut carried = [state];
+    Scheme::Dc.encode_lanes_into(&mut slab, &mut carried);
+    opt.encode_lanes_into(&mut slab, &mut carried);
     let count = allocations_during(|| {
-        let mut carried = state;
+        let mut carried = [state];
         for _ in 0..10 {
-            Scheme::Dc.encode_slab_into(&mut slab, &mut carried);
-            opt.encode_slab_into(&mut slab, &mut carried);
-            plan.encode_slab_into(&mut slab, &mut carried);
+            Scheme::Dc.encode_lanes_into(&mut slab, &mut carried);
+            opt.encode_lanes_into(&mut slab, &mut carried);
+            plan.encode_lanes_into(&mut slab, &mut carried);
         }
         carried
     });

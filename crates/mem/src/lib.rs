@@ -16,8 +16,8 @@
 //!   pluggable [`dbi_core::Scheme`] and full energy accounting,
 //! * [`BusSession`] — the streaming encode hot path: whole write streams
 //!   in one call, per-group bus state carried across bursts, with the
-//!   independent DBI groups optionally encoded in parallel (one rayon
-//!   task per group, bit-identical to the serial result).
+//!   independent DBI groups encoded as parallel lanes of one slab kernel
+//!   dispatch (bit-identical to the per-burst result).
 //!
 //! ```
 //! # fn main() -> Result<(), dbi_mem::MemError> {

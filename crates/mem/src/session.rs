@@ -2,34 +2,43 @@
 //!
 //! A x32 channel is four independent 8-lane DBI groups, a x64 channel
 //! eight; each group carries its own lane state across bursts and takes its
-//! own inversion decisions ([`crate::bus`]). [`BusSession`] exploits that
-//! independence for throughput: it encodes a whole write stream in one
-//! call, with the per-group byte streams either walked sequentially
-//! ([`BusSession::encode_stream`]) or fanned out across threads via rayon
-//! ([`BusSession::encode_stream_parallel`]) — one task per group, each
-//! carrying its group's [`BusState`], which makes the parallel result
-//! bit-identical to the sequential one.
+//! own inversion decisions ([`crate::bus`]). [`BusSession`] encodes a
+//! whole write stream in one call, carrying each group's [`BusState`]
+//! across calls. Each direction has two paths:
+//!
+//! * the per-burst **reference** ([`BusSession::encode_stream_into`] /
+//!   [`BusSession::decode_stream_into`], plus the allocating
+//!   [`BusSession::encode_stream`] / [`BusSession::decode_stream`]), which
+//!   walks the beat-interleaved stream burst by burst;
+//! * the **lanes** path ([`BusSession::encode_stream_slab_into`] /
+//!   [`BusSession::decode_stream_slab_into`]), which de-interleaves every
+//!   group's chain into one [`BurstSlab`] and runs the groups as parallel
+//!   lanes of one kernel dispatch — bit-identical to the reference.
 //!
 //! Unlike [`crate::controller::MemoryController`], a session performs *no*
 //! storage and *no* energy bookkeeping: it is the pure encode hot path,
 //! reporting wire activity per group. Per-burst work is allocation-free:
 //! the gather buffer is moved into each [`Burst`] and recovered afterwards,
 //! so a stream call's allocation count is a small per-call constant (the
-//! result vector; plus one thread and gather buffer per group on the
-//! parallel path) regardless of how many bursts it encodes — asserted by a
+//! result vector) regardless of how many bursts it encodes — asserted by a
 //! counting-allocator test in `tests/session_alloc.rs`.
 //!
 //! ```
-//! use dbi_core::Scheme;
+//! use dbi_core::{BurstSlab, Scheme};
 //! use dbi_mem::{BusSession, ChannelConfig};
 //!
 //! let config = ChannelConfig::gddr5x();
 //! let data = vec![0x5Au8; config.access_bytes() * 16];
 //! let mut session = BusSession::new(&config, Scheme::OptFixed);
-//! let serial = session.encode_stream(&data).unwrap();
+//! let reference = session.encode_stream(&data).unwrap();
 //! session.reset();
-//! let parallel = session.encode_stream_parallel(&data).unwrap();
-//! assert_eq!(serial, parallel);
+//! let mut per_group = Vec::new();
+//! let mut slab = BurstSlab::new(config.burst_len());
+//! let bursts = session
+//!     .encode_stream_slab_into(&data, &mut per_group, None, &mut slab)
+//!     .unwrap();
+//! assert_eq!(bursts, reference.bursts);
+//! assert_eq!(per_group, reference.per_group);
 //! ```
 
 use crate::config::ChannelConfig;
@@ -219,20 +228,6 @@ impl BusSession {
         self.groups.len() * self.burst_len
     }
 
-    /// Encodes one burst on one group, carrying that group's state, and
-    /// returns the activity it added. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is out of range.
-    pub fn drive_burst(&mut self, group: usize, burst: &Burst) -> CostBreakdown {
-        let state = self.groups[group];
-        let mask = self.plan.encode_mask(burst, &state);
-        let breakdown = mask.breakdown(burst, &state);
-        self.groups[group] = mask.final_state(burst, &state);
-        breakdown
-    }
-
     /// Encodes a whole beat-interleaved write stream sequentially: byte `k`
     /// of each access travels on group `k mod groups` during beat
     /// `k / groups`, exactly as [`crate::controller::MemoryController`]
@@ -302,33 +297,19 @@ impl BusSession {
         Ok((accesses * groups) as u64)
     }
 
-    /// The batched (slab) form of [`BusSession::encode_stream`]: the
-    /// stream is de-interleaved group by group into an internal
-    /// [`BurstSlab`] and each group's whole burst chain is encoded in
-    /// **one** [`DbiEncoder::encode_slab_into`] call — one dispatch per
-    /// group instead of one per burst, with the optimal schemes running
-    /// their carried-state LUT kernel over the contiguous slab.
-    /// Bit-identical to [`BusSession::encode_stream`] (differential-tested
-    /// below and in the service layer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::BadAccessSize`] when `data` is empty or not a
-    /// multiple of [`BusSession::access_bytes`].
-    pub fn encode_stream_slab(&mut self, data: &[u8]) -> Result<ChannelActivity> {
-        let mut slab = BurstSlab::new(self.burst_len);
-        let mut per_group = Vec::new();
-        let bursts = self.encode_stream_slab_into(data, &mut per_group, None, &mut slab)?;
-        Ok(ChannelActivity { bursts, per_group })
-    }
-
-    /// [`BusSession::encode_stream_slab`] into caller-owned storage — the
-    /// steady-state form the service workers use. Semantics of
+    /// The lanes form of [`BusSession::encode_stream_into`] — the
+    /// steady-state form the service workers use: the stream is
+    /// de-interleaved group by group into `slab` and every group's whole
+    /// burst chain is encoded in **one**
+    /// [`DbiEncoder::encode_lanes_into`] dispatch, with the optimal
+    /// schemes running their lockstep SIMD kernels across the groups.
+    /// Bit-identical to [`BusSession::encode_stream_into`]
+    /// (differential-tested below and in the service layer). Semantics of
     /// `per_group` and `masks` match [`BusSession::encode_stream_into`]
     /// exactly (masks in transmission order, group-major within each
     /// access); `slab` is the reusable workspace, reset to this session's
-    /// burst length and refilled per group, so a warmed-up caller pays no
-    /// heap allocation at all.
+    /// burst length and refilled, so a warmed-up caller pays no heap
+    /// allocation at all.
     ///
     /// # Errors
     ///
@@ -608,10 +589,10 @@ impl BusSession {
         Ok((ChannelActivity { bursts, per_group }, out))
     }
 
-    /// The batched (slab) form of [`BusSession::decode_stream_into`]: each
-    /// group's whole burst chain is de-interleaved into `slab` and decoded
-    /// in **one** [`DbiDecoder::decode_slab_into`] call — one kernel pass
-    /// per group instead of one mask application per burst. Bit-identical
+    /// The lanes form of [`BusSession::decode_stream_into`]: every group's
+    /// whole burst chain is de-interleaved into `slab` and decoded in
+    /// **one** [`DbiDecoder::decode_lanes_into`] call instead of one mask
+    /// application per burst. Bit-identical
     /// to [`BusSession::decode_stream_into`] (differential-tested below),
     /// including the carried receiver states and the wire-side pricing.
     ///
@@ -674,24 +655,6 @@ impl BusSession {
         Ok((accesses * groups) as u64)
     }
 
-    /// The convenient form of [`BusSession::decode_stream_slab_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BusSession::decode_stream_into`].
-    pub fn decode_stream_slab(
-        &mut self,
-        wire: &[u8],
-        masks: &[InversionMask],
-    ) -> Result<(ChannelActivity, Vec<u8>)> {
-        let mut per_group = Vec::new();
-        let mut out = Vec::new();
-        let mut slab = BurstSlab::new(self.burst_len);
-        let bursts =
-            self.decode_stream_slab_into(wire, masks, &mut per_group, &mut out, &mut slab)?;
-        Ok((ChannelActivity { bursts, per_group }, out))
-    }
-
     /// Shared validation of the decode/transmit stream inputs: the wire
     /// (or payload) must be whole accesses and `masks` must hold exactly
     /// one in-range mask per burst.
@@ -713,58 +676,6 @@ impl BusSession {
             }
         }
         Ok(())
-    }
-
-    /// Encodes the same beat-interleaved stream with one rayon task per
-    /// lane group.
-    ///
-    /// Groups are independent by construction (separate wires, separate
-    /// DBI decisions), so each task carries its own group's [`BusState`]
-    /// through the whole stream and the result — including the carried
-    /// states — is bit-identical to [`BusSession::encode_stream`]. The
-    /// fan-out is per *group*, not per burst, so the sequential chain each
-    /// state depends on is never broken.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::BadAccessSize`] when `data` is empty or not a
-    /// multiple of [`BusSession::access_bytes`].
-    pub fn encode_stream_parallel(&mut self, data: &[u8]) -> Result<ChannelActivity> {
-        self.check_stream(data)?;
-        let groups = self.groups.len();
-        let burst_len = self.burst_len;
-        let accesses = data.len() / self.access_bytes();
-        let encoder: &EncodePlan = &self.plan;
-
-        let mut per_group = vec![CostBreakdown::ZERO; groups];
-        rayon::scope(|s| {
-            for ((group, state), activity) in
-                self.groups.iter_mut().enumerate().zip(per_group.iter_mut())
-            {
-                s.spawn(move || {
-                    let mut scratch = Vec::with_capacity(burst_len);
-                    let mut total = CostBreakdown::ZERO;
-                    for access in 0..accesses {
-                        let base = access * groups * burst_len;
-                        scratch.clear();
-                        scratch
-                            .extend((0..burst_len).map(|beat| data[base + beat * groups + group]));
-                        // Same move-in/move-out trick as the serial path:
-                        // one gather buffer per task, no per-burst allocation.
-                        let burst = Burst::new(scratch).expect("burst length is positive");
-                        let mask = encoder.encode_mask(&burst, state);
-                        total += mask.breakdown(&burst, state);
-                        *state = mask.final_state(&burst, state);
-                        scratch = burst.into_bytes();
-                    }
-                    *activity = total;
-                });
-            }
-        });
-        Ok(ChannelActivity {
-            bursts: (accesses * groups) as u64,
-            per_group,
-        })
     }
 
     fn check_stream(&self, data: &[u8]) -> Result<()> {
@@ -865,25 +776,27 @@ mod tests {
                 assert_eq!(plain.group_state(group), into.group_state(group));
             }
 
-            // The collected masks are exactly the per-burst decisions a
-            // drive_burst walk would make, in transmission order.
-            let mut reference = BusSession::new(&config, scheme);
-            let groups = reference.group_count();
-            let burst_len = reference.burst_len();
+            // The collected masks are exactly the per-burst decisions of a
+            // carried `encode_mask` walk, in transmission order.
+            let groups = plain.group_count();
+            let burst_len = plain.burst_len();
+            let mut states = vec![BusState::idle(); groups];
             let mut index = 0;
-            for access in 0..data.len() / reference.access_bytes() {
+            for access in 0..data.len() / plain.access_bytes() {
                 let base = access * groups * burst_len;
-                for group in 0..groups {
+                for (group, state) in states.iter_mut().enumerate() {
                     let bytes: Vec<u8> = (0..burst_len)
                         .map(|beat| data[base + beat * groups + group])
                         .collect();
                     let burst = Burst::new(bytes).unwrap();
-                    let state = reference.group_state(group).unwrap();
-                    let mask = scheme.encode_mask(&burst, &state);
-                    reference.drive_burst(group, &burst);
+                    let mask = scheme.encode_mask(&burst, state);
+                    *state = mask.final_state(&burst, state);
                     assert_eq!(masks[index], mask, "{scheme}: burst {index}");
                     index += 1;
                 }
+            }
+            for (group, state) in states.iter().enumerate() {
+                assert_eq!(into.group_state(group), Some(*state), "{scheme}");
             }
         }
     }
@@ -940,20 +853,27 @@ mod tests {
                 );
             }
 
-            // The convenience wrapper agrees as well, fed in two halves to
-            // prove the state carries across slab calls.
+            // Fed in two halves, the state carries across slab calls.
             let mut halved = BusSession::new(&config, scheme);
             let half = data.len() / 2;
-            let first = halved.encode_stream_slab(&data[..half]).unwrap();
-            let second = halved.encode_stream_slab(&data[half..]).unwrap();
-            assert_eq!(first.bursts + second.bursts, serial_bursts, "{scheme}");
-            let mut recombined = first.total();
-            recombined += second.total();
+            let mut half_groups = Vec::new();
+            let first = halved
+                .encode_stream_slab_into(&data[..half], &mut half_groups, None, &mut slab)
+                .unwrap();
+            let mut recombined: CostBreakdown = half_groups.iter().copied().sum();
+            let second = halved
+                .encode_stream_slab_into(&data[half..], &mut half_groups, None, &mut slab)
+                .unwrap();
+            recombined += half_groups.iter().copied().sum();
+            assert_eq!(first + second, serial_bursts, "{scheme}");
             assert_eq!(
                 recombined,
                 serial_groups.iter().copied().sum(),
                 "{scheme}: halves must add up"
             );
+            for group in 0..serial.group_count() {
+                assert_eq!(serial.group_state(group), halved.group_state(group));
+            }
         }
     }
 
@@ -1060,7 +980,9 @@ mod tests {
             .is_err());
         assert!(per_group.is_empty());
         assert!(masks.is_empty());
-        assert!(session.encode_stream_slab(&[]).is_err());
+        assert!(session
+            .encode_stream_slab_into(&[], &mut per_group, None, &mut slab)
+            .is_err());
     }
 
     #[test]
@@ -1330,26 +1252,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential_for_every_scheme() {
-        let config = ChannelConfig::gddr5x();
-        let data = test_stream(config.access_bytes() * 64, 0xBEEF);
-        for scheme in Scheme::paper_set().iter().copied() {
-            let mut serial = BusSession::new(&config, scheme);
-            let mut parallel = BusSession::new(&config, scheme);
-            let a = serial.encode_stream(&data).unwrap();
-            let b = parallel.encode_stream_parallel(&data).unwrap();
-            assert_eq!(a, b, "scheme {scheme}: parallel must be bit-identical");
-            for group in 0..serial.group_count() {
-                assert_eq!(
-                    serial.group_state(group),
-                    parallel.group_state(group),
-                    "scheme {scheme}: carried state of group {group}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn session_activity_matches_the_memory_controller() {
         // The session is the controller's encode path without the storage:
         // same interleaving, same carried state, same activity.
@@ -1470,17 +1372,6 @@ mod tests {
             })
         ));
         assert!(session.encode_stream(&[]).is_err());
-        assert!(session.encode_stream_parallel(&[0u8; 33]).is_err());
-    }
-
-    #[test]
-    fn drive_burst_reports_weighted_activity() {
-        let mut session = BusSession::with_geometry(2, 8, Scheme::OptFixed);
-        let burst = Burst::paper_example();
-        let activity = session.drive_burst(0, &burst);
-        assert_eq!(activity.weighted(&CostWeights::FIXED), 52);
-        // Group 1 untouched.
-        assert_eq!(session.group_state(1), Some(BusState::idle()));
     }
 
     #[test]
