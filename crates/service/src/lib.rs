@@ -83,14 +83,16 @@
 //!   polls, [`PipelinedClient::flush`] sends the queue now — one write
 //!   per window of submissions, not one per request.
 //! * [`metrics`] — per-shard atomic counters (requests, rejects, bytes,
-//!   bursts, transitions saved, queue depth + peak, sessions) plus a
+//!   bursts, transitions saved, queue depth + peak, sessions created
+//!   since startup — evictions do not subtract) plus a
 //!   `batch` block (worker passes, coalesced requests, pass-size p50/p99,
 //!   bursts/request), a `verify` block (round trips run, mismatches
 //!   found), a `rate` block (requests/s, rejects/s over a sliding
 //!   window), per-stage latency percentiles and the shared plan-cache
 //!   counters (hits, misses, evictions, resident plans), snapshotted as
 //!   JSON ([`MetricsSnapshot::to_json`]) or Prometheus text
-//!   ([`MetricsSnapshot::to_prometheus`]) on request.
+//!   ([`MetricsSnapshot::to_prometheus`]) on request — both rendered
+//!   from one metric table.
 //! * [`telemetry`] — the observability plane behind those latency
 //!   numbers: lock-free per-shard stage histograms, an always-on binary
 //!   trace ring of recent requests ([`TraceEvent`]), a slowlog of

@@ -1,53 +1,38 @@
-//! Per-shard service metrics.
+//! Service metrics: one table of metric rows behind every surface.
 //!
-//! Each shard owns one [`ShardMetrics`] of plain atomic counters — workers
-//! and clients bump them lock-free and allocation-free on the hot path —
-//! and [`MetricsRegistry::snapshot`] turns the whole registry into an
-//! owned, serialisable [`MetricsSnapshot`]. The batched data plane adds a
-//! `batch` block per shard: worker-pass count, coalesced-request count
-//! and a power-of-two pass-size histogram from which the JSON reports the
-//! p50/p99 pass size plus the mean bursts per request. The engine stamps the shared
-//! plan-cache counters ([`dbi_core::PlanCacheStats`]: hits, misses,
-//! evictions, resident plans) into the snapshot as well, and a `kernel`
-//! block records which slab kernel tier the workers dispatch to
-//! ([`dbi_core::simd::selected_kernel`]) together with the detected CPU
-//! features — so a scraped metrics line names the hardware path behind
-//! its throughput numbers. The snapshot's
-//! [`to_json`](MetricsSnapshot::to_json) form is what the service answers
-//! metrics requests with; it is handwritten JSON (no serialisation crate
-//! exists offline) with a fixed key order, so it is easy to assert on in
-//! tests and to scrape. [`to_prometheus`](MetricsSnapshot::to_prometheus)
-//! renders the same snapshot in Prometheus text exposition format.
+//! Each shard owns one [`ShardMetrics`] of relaxed atomic counters, and
+//! the TCP server's I/O threads share one [`ConnectionMetrics`]; both are
+//! bumped lock-free and allocation-free on the hot path.
+//! [`MetricsRegistry::snapshot`] copies every shard into an owned
+//! [`MetricsSnapshot`]; the engine stamps in its plan-cache and
+//! durability blocks, and the TCP server its connection block.
 //!
-//! The connection plane adds one engine-global `connections` block
-//! ([`ConnectionMetrics`]): accepted/active/closed counts, the
-//! slow-consumer drop count, the largest read and write buffer any
-//! connection has grown, and the I/O threads' work counts — loop
-//! wakeups, socket reads and writes that moved bytes, and frames parsed
-//! in and queued out. The block is owned by the TCP server's I/O
-//! threads, not the registry; an engine with no server attached reports
-//! it zeroed.
+//! Every scalar metric is one row of a private table, `METRICS`. A row
+//! holds the metric's JSON block and key, its Prometheus family, type and
+//! help text, and its source: where the value lives, which fixes its
+//! scope (per shard or engine-global) and how it folds (sum or max). The
+//! shard and connection snapshots, [`MetricsSnapshot::totals`],
+//! [`MetricsSnapshot::to_json`] and [`MetricsSnapshot::to_prometheus`]
+//! all walk that table, so the JSON and the Prometheus exposition carry
+//! the same metrics by construction.
 //!
-//! The telemetry plane adds three per-shard blocks (see
-//! [`crate::telemetry`]): a `rate` block (requests/s and rejects/s over a
-//! sliding [`RATE_WINDOW_SECONDS`]-second window), a `queue_depth_peak`
-//! high-watermark next to the instantaneous depth, and a `latency` block
-//! with p50/p90/p99/p999 for the queue-wait, encode, verify and
-//! total-service stages — log-bucketed lock-free histograms, same pattern
-//! as `batch_hist`.
+//! Two blocks keep a shape of their own on each surface and are rendered
+//! from their own list. The stage latencies ([`StageLatency::stages`]:
+//! queue-wait, encode, verify, total; see [`crate::telemetry`]) are a JSON
+//! object per stage and one `dbi_stage_latency_nanoseconds` summary. The
+//! kernel block — the slab kernel tier the workers dispatch to
+//! ([`dbi_core::simd::selected_kernel`]) and the detected CPU features —
+//! is a JSON object and the labels of one `dbi_kernel_info` gauge.
 //!
-//! The durable session plane (see [`crate::persist`]) adds a per-shard
-//! `sessions_evicted` counter and `journal` block (records and bytes the
-//! shard's worker has appended), plus one engine-global `durability`
-//! block mirroring the [`SnapshotStatus`] admin response: whether a
-//! persist directory is configured, the journal generation, snapshots
-//! taken, the last snapshot's session count and byte size, and sessions
-//! restored from disk. An engine without persistence reports the block
-//! with `configured: false` and zeros.
+//! The JSON is handwritten (no serialisation crate exists offline) with a
+//! fixed key order, so it is easy to assert on in tests and to scrape.
+//! JSON prints float metrics to a fixed number of decimals; Prometheus
+//! prints them at full precision.
 
 use crate::telemetry::{log2_percentile, LatencyHistogram, LatencyStats, RateWindow};
 use crate::wire::SnapshotStatus;
 use dbi_core::PlanCacheStats;
+use std::fmt::{Display, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use crate::telemetry::window::RATE_WINDOW_SECONDS;
@@ -56,6 +41,314 @@ pub use crate::telemetry::window::RATE_WINDOW_SECONDS;
 /// bucket *i* counts passes of `[2^i, 2^(i+1))` bursts, the last bucket
 /// absorbing everything beyond.
 pub const BATCH_BUCKETS: usize = 17;
+
+const WRITE: &str = "writing to a String cannot fail";
+
+/// Prometheus family types.
+const COUNTER: &str = "counter";
+const GAUGE: &str = "gauge";
+
+/// How contributions to one count combine: shard values into
+/// [`MetricsSnapshot::totals`], I/O threads' counts into
+/// [`ConnectionMetrics`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    Sum,
+    Max,
+}
+
+/// A metric value. Its [`Display`] form is the Prometheus sample value,
+/// at full precision.
+#[derive(Clone, Copy)]
+enum Num {
+    Int(u64),
+    /// JSON prints the float to the given number of decimals.
+    Float(f64, usize),
+    /// JSON prints `true`/`false`, Prometheus 1/0.
+    Flag(bool),
+}
+
+impl Display for Num {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Num::Int(value) => write!(f, "{value}"),
+            Num::Float(value, _) => write!(f, "{value}"),
+            Num::Flag(value) => write!(f, "{}", u64::from(value)),
+        }
+    }
+}
+
+/// A field of snapshot type `S`, read and written.
+#[derive(Clone, Copy)]
+struct Field<S, T> {
+    get: fn(&S) -> T,
+    set: fn(&mut S) -> &mut T,
+}
+
+/// Where a row's value lives. `Shard`, `Rate` and `Derived` rows are per
+/// shard; `Connection` and `Global` rows are engine-global.
+#[derive(Clone, Copy)]
+enum Source {
+    /// A [`ShardMetrics`] atomic copied into a [`ShardSnapshot`] field;
+    /// totals fold it by `fold`.
+    Shard {
+        atomic: fn(&ShardMetrics) -> &AtomicU64,
+        field: Field<ShardSnapshot, u64>,
+        fold: Fold,
+    },
+    /// A [`ShardMetrics`] sliding-window rate copied into a
+    /// [`ShardSnapshot`] field; totals sum it. JSON prints one decimal.
+    Rate {
+        window: fn(&ShardMetrics) -> &RateWindow,
+        field: Field<ShardSnapshot, f64>,
+    },
+    /// A value computed from a [`ShardSnapshot`] when rendered; totals
+    /// recompute it from their folded counts.
+    Derived(fn(&ShardSnapshot) -> Num),
+    /// A [`ConnectionMetrics`] atomic copied into a [`ConnectionsSnapshot`]
+    /// field. `io` is the [`IoCounters`] count that
+    /// [`ConnectionMetrics::publish`] folds into it by `fold`.
+    Connection {
+        atomic: fn(&ConnectionMetrics) -> &AtomicU64,
+        field: Field<ConnectionsSnapshot, u64>,
+        fold: Fold,
+        io: Option<fn(&IoCounters) -> u64>,
+    },
+    /// A value the engine stamps into the [`MetricsSnapshot`].
+    Global(fn(&MetricsSnapshot) -> Num),
+}
+
+impl Source {
+    /// Whether the row has one value per shard.
+    fn per_shard(self) -> bool {
+        matches!(
+            self,
+            Source::Shard { .. } | Source::Rate { .. } | Source::Derived(_)
+        )
+    }
+
+    /// The row's value in `shard`, or `None` for an engine-global row.
+    fn shard_value(self, shard: &ShardSnapshot) -> Option<Num> {
+        match self {
+            Source::Shard { field, .. } => Some(Num::Int((field.get)(shard))),
+            Source::Rate { field, .. } => Some(Num::Float((field.get)(shard), 1)),
+            Source::Derived(value) => Some(value(shard)),
+            Source::Connection { .. } | Source::Global(_) => None,
+        }
+    }
+
+    /// The row's value in `snapshot`, or `None` for a per-shard row.
+    fn global_value(self, snapshot: &MetricsSnapshot) -> Option<Num> {
+        match self {
+            Source::Connection { field, .. } => Some(Num::Int((field.get)(&snapshot.connections))),
+            Source::Global(value) => Some(value(snapshot)),
+            Source::Shard { .. } | Source::Rate { .. } | Source::Derived(_) => None,
+        }
+    }
+}
+
+/// One scalar metric, as both surfaces and the totals see it.
+struct Metric {
+    /// The JSON object holding `key`: `""` for the shard object itself,
+    /// else a block inside it (per-shard rows) or inside the top-level
+    /// object (engine-global rows). A block's rows are contiguous and
+    /// follow the `""` rows.
+    block: &'static str,
+    key: &'static str,
+    family: &'static str,
+    /// [`COUNTER`] or [`GAUGE`].
+    kind: &'static str,
+    source: Source,
+    /// The Prometheus `# HELP` text.
+    help: &'static str,
+}
+
+#[rustfmt::skip]
+const fn row(
+    block: &'static str, key: &'static str, family: &'static str, kind: &'static str,
+    source: Source, help: &'static str,
+) -> Metric {
+    Metric { block, key, family, kind, source, help }
+}
+
+// Sources over same-named fields: `shard!` and `connection!` name the
+// atomic and the snapshot field, `rate!` the window and the field, and
+// `connection!`'s optional third ident the `IoCounters` count.
+#[rustfmt::skip]
+macro_rules! field {
+    ($field:ident) => { Field { get: |s| s.$field, set: |s| &mut s.$field } };
+}
+#[rustfmt::skip]
+macro_rules! shard {
+    ($field:ident, $fold:ident) => {
+        Source::Shard { atomic: |m| &m.$field, field: field!($field), fold: Fold::$fold }
+    };
+}
+#[rustfmt::skip]
+macro_rules! rate {
+    ($window:ident, $field:ident) => {
+        Source::Rate { window: |m| &m.$window, field: field!($field) }
+    };
+}
+#[rustfmt::skip]
+macro_rules! connection {
+    ($field:ident, $fold:ident $(, $io:ident)?) => {
+        Source::Connection {
+            atomic: |m| &m.$field, field: field!($field), fold: Fold::$fold,
+            io: connection!(@io $($io)?),
+        }
+    };
+    (@io) => { None };
+    (@io $io:ident) => { Some(|c| c.$io) };
+}
+
+/// Every scalar metric, in JSON key order: the per-shard rows make up a
+/// shard object (before its `latency` block), the engine-global rows the
+/// top-level blocks after `totals`.
+#[rustfmt::skip]
+const METRICS: &[Metric] = &[
+    row("", "requests", "dbi_requests_total", COUNTER, shard!(requests, Sum),
+        "Requests executed."),
+    row("", "rejected", "dbi_rejected_total", COUNTER, shard!(rejected, Sum),
+        "Requests rejected."),
+    row("", "bytes", "dbi_bytes_total", COUNTER, shard!(bytes, Sum),
+        "Payload bytes encoded."),
+    row("", "bursts", "dbi_bursts_total", COUNTER, shard!(bursts, Sum),
+        "Per-group bursts encoded."),
+    row("", "transitions_saved", "dbi_transitions_saved_total", COUNTER,
+        shard!(transitions_saved, Sum),
+        "Lane transitions avoided versus sending the stream raw."),
+    row("", "queue_depth", "dbi_queue_depth", GAUGE, shard!(queue_depth, Sum),
+        "Requests currently queued."),
+    // Summed like `queue_depth`: an upper bound on the peak of total
+    // queued work.
+    row("", "queue_depth_peak", "dbi_queue_depth_peak", GAUGE, shard!(queue_depth_peak, Sum),
+        "Queue-depth high-watermark since startup."),
+    row("", "sessions", "dbi_sessions_total", COUNTER, shard!(sessions, Sum),
+        "Encode sessions created since startup; evictions do not subtract."),
+    row("", "sessions_evicted", "dbi_sessions_evicted_total", COUNTER,
+        shard!(sessions_evicted, Sum),
+        "Idle sessions evicted to admit fresh session ids on a full shard."),
+    row("journal", "records", "dbi_journal_records_total", COUNTER,
+        shard!(journal_records, Sum),
+        "Session records appended to the shard's journal."),
+    row("journal", "bytes", "dbi_journal_bytes_total", COUNTER, shard!(journal_bytes, Sum),
+        "Bytes flushed to the shard's journal."),
+    row("rate", "requests_per_s", "dbi_requests_per_second", GAUGE,
+        rate!(request_rate, requests_per_s),
+        "Executed requests per second over the sliding window."),
+    row("rate", "rejects_per_s", "dbi_rejects_per_second", GAUGE,
+        rate!(reject_rate, rejects_per_s),
+        "Rejected requests per second over the sliding window."),
+    row("rate", "window_s", "dbi_rate_window_seconds", GAUGE,
+        Source::Derived(|_| Num::Int(RATE_WINDOW_SECONDS as u64)),
+        "Length of the sliding window behind the per-second rates."),
+    row("batch", "passes", "dbi_batch_passes_total", COUNTER, shard!(passes, Sum),
+        "Worker passes executed."),
+    row("batch", "coalesced", "dbi_batch_coalesced_total", COUNTER, shard!(coalesced, Sum),
+        "Requests coalesced into another request's pass."),
+    row("batch", "dispatches", "dbi_batch_dispatches_total", COUNTER, shard!(dispatches, Sum),
+        "Packed kernel dispatches executed."),
+    row("batch", "dispatch_chains", "dbi_batch_dispatch_chains_total", COUNTER,
+        shard!(dispatch_chains, Sum),
+        "Lane-group chains encoded across all packed dispatches."),
+    row("batch", "full_dispatches", "dbi_batch_full_dispatches_total", COUNTER,
+        shard!(full_dispatches, Sum),
+        "Dispatches that filled the selected kernel's lane width."),
+    row("batch", "lane_occupancy", "dbi_batch_lane_occupancy", GAUGE,
+        Source::Derived(|s| Num::Float(s.lane_occupancy(), 1)),
+        "Mean lane-group chains per packed kernel dispatch."),
+    row("batch", "full_dispatch_fraction", "dbi_batch_full_dispatch_fraction", GAUGE,
+        Source::Derived(|s| Num::Float(s.full_dispatch_fraction(), 2)),
+        "Fraction of dispatches that filled the kernel's lane width."),
+    row("batch", "size_p50", "dbi_batch_size_p50_bursts", GAUGE,
+        Source::Derived(|s| Num::Int(s.batch_size_percentile(0.50))),
+        "Median worker-pass size in bursts, from the power-of-two pass-size histogram."),
+    row("batch", "size_p99", "dbi_batch_size_p99_bursts", GAUGE,
+        Source::Derived(|s| Num::Int(s.batch_size_percentile(0.99))),
+        "99th-percentile worker-pass size in bursts, from the same histogram."),
+    row("batch", "bursts_per_request", "dbi_batch_bursts_per_request", GAUGE,
+        Source::Derived(|s| Num::Float(s.bursts_per_request(), 1)),
+        "Mean bursts per executed request."),
+    row("verify", "requests", "dbi_verify_requests_total", COUNTER, shard!(verified, Sum),
+        "Verify-mode requests round-tripped."),
+    row("verify", "failures", "dbi_verify_failures_total", COUNTER,
+        shard!(verify_failures, Sum),
+        "Verify round trips that exposed an encode/decode asymmetry."),
+
+    row("plan_cache", "hits", "dbi_plan_cache_hits_total", COUNTER,
+        Source::Global(|e| Num::Int(e.plan_cache.hits)),
+        "Plan-cache hits."),
+    row("plan_cache", "misses", "dbi_plan_cache_misses_total", COUNTER,
+        Source::Global(|e| Num::Int(e.plan_cache.misses)),
+        "Plan-cache misses."),
+    row("plan_cache", "evictions", "dbi_plan_cache_evictions_total", COUNTER,
+        Source::Global(|e| Num::Int(e.plan_cache.evictions)),
+        "Plan-cache evictions."),
+    row("plan_cache", "entries", "dbi_plan_cache_entries", GAUGE,
+        Source::Global(|e| Num::Int(e.plan_cache.entries as u64)),
+        "Plans resident in the cache."),
+    row("connections", "active", "dbi_connections_active", GAUGE, connection!(active, Sum),
+        "Connections currently multiplexed by the I/O threads."),
+    row("connections", "accepted", "dbi_connections_accepted_total", COUNTER,
+        connection!(accepted, Sum),
+        "Connections accepted."),
+    row("connections", "closed", "dbi_connections_closed_total", COUNTER,
+        connection!(closed, Sum),
+        "Connections closed, for any reason."),
+    row("connections", "dropped_slow", "dbi_connections_dropped_slow_total", COUNTER,
+        connection!(dropped_slow, Sum),
+        "Connections dropped for crossing the slow-consumer write high-watermark."),
+    row("connections", "read_buf_high_watermark",
+        "dbi_connection_read_buf_high_watermark_bytes", GAUGE,
+        connection!(read_buf_high_watermark, Max, read_buf_peak),
+        "Largest read buffer any connection has grown."),
+    row("connections", "write_buf_high_watermark",
+        "dbi_connection_write_buf_high_watermark_bytes", GAUGE,
+        connection!(write_buf_high_watermark, Max, write_buf_peak),
+        "Largest write buffer any connection has grown."),
+    row("connections", "wakeups", "dbi_io_wakeups_total", COUNTER,
+        connection!(wakeups, Sum, wakeups),
+        "Returns from the I/O threads' poller waits."),
+    row("connections", "reads", "dbi_io_reads_total", COUNTER, connection!(reads, Sum, reads),
+        "Socket reads that moved bytes."),
+    row("connections", "writes", "dbi_io_writes_total", COUNTER,
+        connection!(writes, Sum, writes),
+        "Socket writes that moved bytes."),
+    row("connections", "frames_in", "dbi_io_frames_in_total", COUNTER,
+        connection!(frames_in, Sum, frames_in),
+        "Frames parsed out of connections' read buffers."),
+    row("connections", "frames_out", "dbi_io_frames_out_total", COUNTER,
+        connection!(frames_out, Sum, frames_out),
+        "Frames queued for connections' sockets."),
+    row("durability", "configured", "dbi_durability_configured", GAUGE,
+        Source::Global(|e| Num::Flag(e.durability.configured)),
+        "Whether a persist directory is configured (1) or not (0)."),
+    row("durability", "generation", "dbi_durability_generation", GAUGE,
+        Source::Global(|e| Num::Int(e.durability.generation)),
+        "Generation the shard journals are currently writing at."),
+    row("durability", "snapshots_taken", "dbi_snapshots_taken_total", COUNTER,
+        Source::Global(|e| Num::Int(e.durability.snapshots_taken)),
+        "Engine snapshots written since startup (including the self-compacting recovery snapshot)."),
+    row("durability", "last_sessions", "dbi_snapshot_last_sessions", GAUGE,
+        Source::Global(|e| Num::Int(e.durability.last_sessions)),
+        "Sessions captured by the most recent snapshot."),
+    row("durability", "last_bytes", "dbi_snapshot_last_bytes", GAUGE,
+        Source::Global(|e| Num::Int(e.durability.last_bytes)),
+        "On-disk size of the most recent snapshot in bytes."),
+    row("durability", "restored_sessions", "dbi_sessions_restored_total", COUNTER,
+        Source::Global(|e| Num::Int(e.durability.restored_sessions)),
+        "Sessions restored from disk (at startup or via the restore admin frame)."),
+];
+
+/// The stage-latency quantiles as `(quantile, JSON key, Prometheus
+/// label)`.
+const QUANTILES: [(f64, &str, &str); 4] = [
+    (0.50, "p50_ns", "0.5"),
+    (0.90, "p90_ns", "0.9"),
+    (0.99, "p99_ns", "0.99"),
+    (0.999, "p999_ns", "0.999"),
+];
 
 /// Lock-free counters of one shard. All increments use relaxed ordering:
 /// the counters are statistics, not synchronisation.
@@ -197,39 +490,31 @@ impl ShardMetrics {
     /// Reads the counters into an owned snapshot.
     #[must_use]
     pub fn snapshot(&self) -> ShardSnapshot {
-        let mut batch_hist = [0u64; BATCH_BUCKETS];
-        for (slot, counter) in batch_hist.iter_mut().zip(&self.batch_hist) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
-        ShardSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            bursts: self.bursts.load(Ordering::Relaxed),
-            transitions_saved: self.transitions_saved.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            sessions: self.sessions.load(Ordering::Relaxed),
-            sessions_evicted: self.sessions_evicted.load(Ordering::Relaxed),
-            journal_records: self.journal_records.load(Ordering::Relaxed),
-            journal_bytes: self.journal_bytes.load(Ordering::Relaxed),
-            passes: self.passes.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            dispatches: self.dispatches.load(Ordering::Relaxed),
-            dispatch_chains: self.dispatch_chains.load(Ordering::Relaxed),
-            full_dispatches: self.full_dispatches.load(Ordering::Relaxed),
-            batch_hist,
-            verified: self.verified.load(Ordering::Relaxed),
-            verify_failures: self.verify_failures.load(Ordering::Relaxed),
-            requests_per_s: self.request_rate.rate_per_second(),
-            rejects_per_s: self.reject_rate.rate_per_second(),
+        let mut snapshot = ShardSnapshot {
+            batch_hist: self
+                .batch_hist
+                .each_ref()
+                .map(|counter| counter.load(Ordering::Relaxed)),
             latency: StageLatency {
                 queue_wait: self.queue_wait_hist.snapshot(),
                 encode: self.encode_hist.snapshot(),
                 verify: self.verify_hist.snapshot(),
                 total: self.total_hist.snapshot(),
             },
+            ..ShardSnapshot::default()
+        };
+        for metric in METRICS {
+            match metric.source {
+                Source::Shard { atomic, field, .. } => {
+                    *(field.set)(&mut snapshot) = atomic(self).load(Ordering::Relaxed);
+                }
+                Source::Rate { window, field } => {
+                    *(field.set)(&mut snapshot) = window(self).rate_per_second();
+                }
+                _ => {}
+            }
         }
+        snapshot
     }
 }
 
@@ -297,26 +582,25 @@ impl ConnectionMetrics {
         self.dropped_slow.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds one I/O thread's counts into the shared counters and resets
-    /// them; zero counts cost no atomic operation.
+    /// Folds one I/O thread's counts into the shared counters — counts
+    /// add, buffer peaks keep the maximum — and resets them; zero counts
+    /// cost no atomic operation.
     pub(crate) fn publish(&self, counters: &mut IoCounters) {
-        for (shared, local) in [
-            (&self.wakeups, counters.wakeups),
-            (&self.reads, counters.reads),
-            (&self.writes, counters.writes),
-            (&self.frames_in, counters.frames_in),
-            (&self.frames_out, counters.frames_out),
-        ] {
-            if local > 0 {
-                shared.fetch_add(local, Ordering::Relaxed);
-            }
-        }
-        for (shared, peak) in [
-            (&self.read_buf_high_watermark, counters.read_buf_peak),
-            (&self.write_buf_high_watermark, counters.write_buf_peak),
-        ] {
-            if peak > 0 {
-                shared.fetch_max(peak, Ordering::Relaxed);
+        for metric in METRICS {
+            if let Source::Connection {
+                atomic,
+                fold,
+                io: Some(io),
+                ..
+            } = metric.source
+            {
+                let local = io(counters);
+                if local > 0 {
+                    match fold {
+                        Fold::Sum => atomic(self).fetch_add(local, Ordering::Relaxed),
+                        Fold::Max => atomic(self).fetch_max(local, Ordering::Relaxed),
+                    };
+                }
             }
         }
         *counters = IoCounters::default();
@@ -325,19 +609,13 @@ impl ConnectionMetrics {
     /// Reads the counters into an owned snapshot.
     #[must_use]
     pub fn snapshot(&self) -> ConnectionsSnapshot {
-        ConnectionsSnapshot {
-            active: self.active.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            closed: self.closed.load(Ordering::Relaxed),
-            dropped_slow: self.dropped_slow.load(Ordering::Relaxed),
-            read_buf_high_watermark: self.read_buf_high_watermark.load(Ordering::Relaxed),
-            write_buf_high_watermark: self.write_buf_high_watermark.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
+        let mut snapshot = ConnectionsSnapshot::default();
+        for metric in METRICS {
+            if let Source::Connection { atomic, field, .. } = metric.source {
+                *(field.set)(&mut snapshot) = atomic(self).load(Ordering::Relaxed);
+            }
         }
+        snapshot
     }
 }
 
@@ -369,53 +647,6 @@ pub struct ConnectionsSnapshot {
     /// Frames queued for connections' sockets: replies, inline answers
     /// and error frames.
     pub frames_out: u64,
-}
-
-impl ConnectionsSnapshot {
-    /// Folds another connection-plane snapshot into this one: the
-    /// counters (and `active`) sum; the buffer high-watermarks take the
-    /// maximum, because a watermark aggregated across planes is still
-    /// "the largest buffer any connection grew".
-    fn add(&mut self, other: &ConnectionsSnapshot) {
-        self.active += other.active;
-        self.accepted += other.accepted;
-        self.closed += other.closed;
-        self.dropped_slow += other.dropped_slow;
-        self.wakeups += other.wakeups;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.frames_in += other.frames_in;
-        self.frames_out += other.frames_out;
-        self.read_buf_high_watermark = self
-            .read_buf_high_watermark
-            .max(other.read_buf_high_watermark);
-        self.write_buf_high_watermark = self
-            .write_buf_high_watermark
-            .max(other.write_buf_high_watermark);
-    }
-
-    fn write_json(&self, out: &mut String) {
-        use std::fmt::Write;
-        write!(
-            out,
-            "{{\"active\":{},\"accepted\":{},\"closed\":{},\
-             \"dropped_slow\":{},\"read_buf_high_watermark\":{},\
-             \"write_buf_high_watermark\":{},\"wakeups\":{},\"reads\":{},\
-             \"writes\":{},\"frames_in\":{},\"frames_out\":{}}}",
-            self.active,
-            self.accepted,
-            self.closed,
-            self.dropped_slow,
-            self.read_buf_high_watermark,
-            self.write_buf_high_watermark,
-            self.wakeups,
-            self.reads,
-            self.writes,
-            self.frames_in,
-            self.frames_out,
-        )
-        .expect("writing to a String cannot fail");
-    }
 }
 
 /// The four per-stage latency snapshots of one shard: where a request's
@@ -471,7 +702,8 @@ pub struct ShardSnapshot {
     /// The deepest the shard queue has ever been — the high-watermark
     /// that exposes backpressure a between-passes scrape would miss.
     pub queue_depth_peak: u64,
-    /// Encode sessions resident on the shard.
+    /// Encode sessions created on the shard since startup; evictions do
+    /// not subtract (they count in `sessions_evicted`).
     pub sessions: u64,
     /// Idle sessions evicted to make room for fresh session ids once the
     /// shard hit its configured session bound.
@@ -513,33 +745,25 @@ pub struct ShardSnapshot {
 }
 
 impl ShardSnapshot {
+    /// Folds another shard into this one by each row's fold; the pass-size
+    /// histogram and the latency histograms add bucket by bucket.
     fn add(&mut self, other: &ShardSnapshot) {
-        self.requests += other.requests;
-        self.rejected += other.rejected;
-        self.bytes += other.bytes;
-        self.bursts += other.bursts;
-        self.transitions_saved += other.transitions_saved;
-        self.queue_depth += other.queue_depth;
-        self.sessions += other.sessions;
-        self.sessions_evicted += other.sessions_evicted;
-        self.journal_records += other.journal_records;
-        self.journal_bytes += other.journal_bytes;
-        self.passes += other.passes;
-        self.coalesced += other.coalesced;
-        self.dispatches += other.dispatches;
-        self.dispatch_chains += other.dispatch_chains;
-        self.full_dispatches += other.full_dispatches;
+        for metric in METRICS {
+            match metric.source {
+                Source::Shard { field, fold, .. } => {
+                    let (mine, theirs) = ((field.get)(self), (field.get)(other));
+                    *(field.set)(self) = match fold {
+                        Fold::Sum => mine + theirs,
+                        Fold::Max => mine.max(theirs),
+                    };
+                }
+                Source::Rate { field, .. } => *(field.set)(self) += (field.get)(other),
+                _ => {}
+            }
+        }
         for (mine, theirs) in self.batch_hist.iter_mut().zip(&other.batch_hist) {
             *mine += theirs;
         }
-        self.verified += other.verified;
-        self.verify_failures += other.verify_failures;
-        // The peak is summed like the other counters: the result is the
-        // (upper bound) high-watermark of total queued work, consistent
-        // with `queue_depth` above.
-        self.queue_depth_peak += other.queue_depth_peak;
-        self.requests_per_s += other.requests_per_s;
-        self.rejects_per_s += other.rejects_per_s;
         self.latency.add(&other.latency);
     }
 
@@ -584,66 +808,63 @@ impl ShardSnapshot {
         }
     }
 
+    /// Writes the shard object: the per-shard rows, then the `latency`
+    /// block.
     fn write_json(&self, out: &mut String) {
-        use std::fmt::Write;
-        write!(
+        out.push('{');
+        write_json_members(
             out,
-            "{{\"requests\":{},\"rejected\":{},\"bytes\":{},\"bursts\":{},\
-             \"transitions_saved\":{},\"queue_depth\":{},\
-             \"queue_depth_peak\":{},\"sessions\":{},\
-             \"sessions_evicted\":{},\
-             \"journal\":{{\"records\":{},\"bytes\":{}}},\
-             \"rate\":{{\"requests_per_s\":{:.1},\"rejects_per_s\":{:.1},\
-             \"window_s\":{}}},\
-             \"batch\":{{\"passes\":{},\"coalesced\":{},\"dispatches\":{},\
-             \"lane_occupancy\":{:.1},\"full_dispatch_fraction\":{:.2},\
-             \"size_p50\":{},\"size_p99\":{},\"bursts_per_request\":{:.1}}},\
-             \"verify\":{{\"requests\":{},\"failures\":{}}},\"latency\":{{",
-            self.requests,
-            self.rejected,
-            self.bytes,
-            self.bursts,
-            self.transitions_saved,
-            self.queue_depth,
-            self.queue_depth_peak,
-            self.sessions,
-            self.sessions_evicted,
-            self.journal_records,
-            self.journal_bytes,
-            self.requests_per_s,
-            self.rejects_per_s,
-            RATE_WINDOW_SECONDS,
-            self.passes,
-            self.coalesced,
-            self.dispatches,
-            self.lane_occupancy(),
-            self.full_dispatch_fraction(),
-            self.batch_size_percentile(0.50),
-            self.batch_size_percentile(0.99),
-            self.bursts_per_request(),
-            self.verified,
-            self.verify_failures,
-        )
-        .expect("writing to a String cannot fail");
+            METRICS
+                .iter()
+                .filter_map(|metric| Some((metric, metric.source.shard_value(self)?))),
+        );
+        out.push_str(",\"latency\":{");
         for (index, (name, stats)) in self.latency.stages().into_iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
+            let comma = if index > 0 { "," } else { "" };
+            let (count, mean) = (stats.count, stats.mean_ns());
             write!(
                 out,
-                "\"{name}\":{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\
-                 \"p90_ns\":{},\"p99_ns\":{},\"p999_ns\":{}}}",
-                stats.count,
-                stats.mean_ns(),
-                stats.percentile_ns(0.50),
-                stats.percentile_ns(0.90),
-                stats.percentile_ns(0.99),
-                stats.percentile_ns(0.999),
+                "{comma}\"{name}\":{{\"count\":{count},\"mean_ns\":{mean}"
             )
-            .expect("writing to a String cannot fail");
+            .expect(WRITE);
+            for (quantile, key, _) in QUANTILES {
+                write!(out, ",\"{key}\":{}", stats.percentile_ns(quantile)).expect(WRITE);
+            }
+            out.push('}');
         }
         out.push_str("}}");
     }
+}
+
+/// Writes `rows` as `"key":value` members of the JSON object `out` is
+/// inside, wrapping each run of rows that share a non-empty block in a
+/// `,"block":{...}` member. Only a leading `""` row is written without a
+/// comma, as the object's first member.
+fn write_json_members<'a>(out: &mut String, rows: impl Iterator<Item = (&'a Metric, Num)>) {
+    let (mut open, mut comma) = ("", "");
+    for (metric, value) in rows {
+        if metric.block != open {
+            let close = if open.is_empty() { "" } else { "}" };
+            write!(out, "{close},\"{}\":{{", metric.block).expect(WRITE);
+            (open, comma) = (metric.block, "");
+        }
+        let key = metric.key;
+        match value {
+            Num::Float(value, decimals) => write!(out, "{comma}\"{key}\":{value:.decimals$}"),
+            Num::Flag(value) => write!(out, "{comma}\"{key}\":{value}"),
+            Num::Int(_) => write!(out, "{comma}\"{key}\":{value}"),
+        }
+        .expect(WRITE);
+        comma = ",";
+    }
+    if !open.is_empty() {
+        out.push('}');
+    }
+}
+
+/// Writes a Prometheus family's `# HELP` and `# TYPE` lines.
+fn write_family(out: &mut String, family: &str, kind: &str, help: &str) {
+    writeln!(out, "# HELP {family} {help}\n# TYPE {family} {kind}").expect(WRITE);
 }
 
 /// The counters of every shard of one engine.
@@ -723,7 +944,9 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The counters summed across all shards.
+    /// The shards folded into one: counts and rates sum, histograms add
+    /// bucket by bucket, and derived values (occupancy, percentiles)
+    /// follow from the folded counts.
     #[must_use]
     pub fn totals(&self) -> ShardSnapshot {
         let mut total = ShardSnapshot::default();
@@ -733,34 +956,21 @@ impl MetricsSnapshot {
         total
     }
 
-    /// Folds another snapshot into this one, shard by shard — shard *i*
-    /// of `other` is added onto shard *i* of `self`, extra shards are
-    /// appended, and the plan-cache counters sum. Useful for aggregating
-    /// scrapes of several engines (or of one engine across restarts) into
-    /// one view; the kernel and durability blocks keep `self`'s values,
-    /// so merge same-hardware, same-store snapshots if those blocks
-    /// matter.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        if self.per_shard.len() < other.per_shard.len() {
-            self.per_shard
-                .resize(other.per_shard.len(), ShardSnapshot::default());
-        }
-        for (mine, theirs) in self.per_shard.iter_mut().zip(&other.per_shard) {
-            mine.add(theirs);
-        }
-        self.plan_cache.hits += other.plan_cache.hits;
-        self.plan_cache.misses += other.plan_cache.misses;
-        self.plan_cache.evictions += other.plan_cache.evictions;
-        self.plan_cache.entries += other.plan_cache.entries;
-        self.connections.add(&other.connections);
+    /// The kernel block's fields as `(name, value, is a JSON string)`.
+    fn kernel_fields(&self) -> [(&'static str, &'static str, bool); 3] {
+        let forced_scalar = if self.forced_scalar { "true" } else { "false" };
+        [
+            ("selected", self.kernel, true),
+            ("forced_scalar", forced_scalar, false),
+            ("cpu_features", self.cpu_features, true),
+        ]
     }
 
     /// Serialises the snapshot as a single-line JSON object:
     /// `{"shards":[{...},...],"totals":{...},"plan_cache":{...},"connections":{...},"durability":{...},"kernel":{...}}`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(128 * (self.per_shard.len() + 2));
+        let mut out = String::with_capacity(1024 * (self.per_shard.len() + 2));
         out.push_str("{\"shards\":[");
         for (index, shard) in self.per_shard.iter().enumerate() {
             if index > 0 {
@@ -770,359 +980,68 @@ impl MetricsSnapshot {
         }
         out.push_str("],\"totals\":");
         self.totals().write_json(&mut out);
-        write!(
-            out,
-            ",\"plan_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}}",
-            self.plan_cache.hits,
-            self.plan_cache.misses,
-            self.plan_cache.evictions,
-            self.plan_cache.entries
-        )
-        .expect("writing to a String cannot fail");
-        out.push_str(",\"connections\":");
-        self.connections.write_json(&mut out);
-        write!(
-            out,
-            ",\"durability\":{{\"configured\":{},\"generation\":{},\
-             \"snapshots_taken\":{},\"last_sessions\":{},\"last_bytes\":{},\
-             \"restored_sessions\":{}}}",
-            self.durability.configured,
-            self.durability.generation,
-            self.durability.snapshots_taken,
-            self.durability.last_sessions,
-            self.durability.last_bytes,
-            self.durability.restored_sessions,
-        )
-        .expect("writing to a String cannot fail");
-        write!(
-            out,
-            ",\"kernel\":{{\"selected\":\"{}\",\"forced_scalar\":{},\"cpu_features\":\"{}\"}}",
-            self.kernel, self.forced_scalar, self.cpu_features
-        )
-        .expect("writing to a String cannot fail");
-        out.push('}');
+        write_json_members(
+            &mut out,
+            METRICS
+                .iter()
+                .filter_map(|metric| Some((metric, metric.source.global_value(self)?))),
+        );
+        out.push_str(",\"kernel\":{");
+        for (index, (name, value, string)) in self.kernel_fields().into_iter().enumerate() {
+            let comma = if index > 0 { "," } else { "" };
+            let quote = if string { "\"" } else { "" };
+            write!(out, "{comma}\"{name}\":{quote}{value}{quote}").expect(WRITE);
+        }
+        out.push_str("}}");
         out
     }
 
     /// Renders the snapshot in Prometheus text exposition format: one
-    /// `{shard="i"}`-labelled series per counter (scrapers sum shards
-    /// themselves), a `dbi_stage_latency_nanoseconds` summary with
-    /// `{shard,stage,quantile}` labels plus `_sum`/`_count`, the
-    /// plan-cache counters, the connection-plane counters and buffer
-    /// high-watermarks, and a `dbi_kernel_info` gauge carrying the
-    /// dispatch tier and CPU features as labels.
+    /// `{shard="i"}`-labelled series per per-shard row (scrapers sum
+    /// shards themselves), a `dbi_stage_latency_nanoseconds` summary with
+    /// `{shard,stage,quantile}` labels plus `_sum`/`_count`, one
+    /// unlabelled series per engine-global row, and a `dbi_kernel_info`
+    /// gauge carrying the kernel block as labels.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write;
-        type Field = fn(&ShardSnapshot) -> u64;
-        const COUNTERS: [(&str, &str, Field); 16] = [
-            ("dbi_requests_total", "Requests executed.", |s| s.requests),
-            ("dbi_rejected_total", "Requests rejected.", |s| s.rejected),
-            ("dbi_bytes_total", "Payload bytes encoded.", |s| s.bytes),
-            ("dbi_bursts_total", "Per-group bursts encoded.", |s| {
-                s.bursts
-            }),
-            (
-                "dbi_transitions_saved_total",
-                "Lane transitions avoided versus sending the stream raw.",
-                |s| s.transitions_saved,
-            ),
-            ("dbi_batch_passes_total", "Worker passes executed.", |s| {
-                s.passes
-            }),
-            (
-                "dbi_batch_coalesced_total",
-                "Requests coalesced into another request's pass.",
-                |s| s.coalesced,
-            ),
-            (
-                "dbi_batch_dispatches_total",
-                "Packed kernel dispatches executed.",
-                |s| s.dispatches,
-            ),
-            (
-                "dbi_batch_dispatch_chains_total",
-                "Lane-group chains encoded across all packed dispatches.",
-                |s| s.dispatch_chains,
-            ),
-            (
-                "dbi_batch_full_dispatches_total",
-                "Dispatches that filled the selected kernel's lane width.",
-                |s| s.full_dispatches,
-            ),
-            (
-                "dbi_verify_requests_total",
-                "Verify-mode requests round-tripped.",
-                |s| s.verified,
-            ),
-            (
-                "dbi_verify_failures_total",
-                "Verify round trips that exposed an encode/decode asymmetry.",
-                |s| s.verify_failures,
-            ),
-            ("dbi_sessions_total", "Encode sessions created.", |s| {
-                s.sessions
-            }),
-            (
-                "dbi_sessions_evicted_total",
-                "Idle sessions evicted to admit fresh session ids on a full shard.",
-                |s| s.sessions_evicted,
-            ),
-            (
-                "dbi_journal_records_total",
-                "Session records appended to the shard's journal.",
-                |s| s.journal_records,
-            ),
-            (
-                "dbi_journal_bytes_total",
-                "Bytes flushed to the shard's journal.",
-                |s| s.journal_bytes,
-            ),
-        ];
-        const GAUGES: [(&str, &str, Field); 2] = [
-            ("dbi_queue_depth", "Requests currently queued.", |s| {
-                s.queue_depth
-            }),
-            (
-                "dbi_queue_depth_peak",
-                "Queue-depth high-watermark since startup.",
-                |s| s.queue_depth_peak,
-            ),
-        ];
         let mut out = String::with_capacity(1024 + 2048 * self.per_shard.len());
-        for (name, help, field) in COUNTERS {
-            writeln!(out, "# HELP {name} {help}").expect("writing to a String cannot fail");
-            writeln!(out, "# TYPE {name} counter").expect("writing to a String cannot fail");
+        for metric in METRICS.iter().filter(|metric| metric.source.per_shard()) {
+            let family = metric.family;
+            write_family(&mut out, family, metric.kind, metric.help);
             for (shard, snapshot) in self.per_shard.iter().enumerate() {
-                writeln!(out, "{name}{{shard=\"{shard}\"}} {}", field(snapshot))
-                    .expect("writing to a String cannot fail");
-            }
-        }
-        for (name, help, field) in GAUGES {
-            writeln!(out, "# HELP {name} {help}").expect("writing to a String cannot fail");
-            writeln!(out, "# TYPE {name} gauge").expect("writing to a String cannot fail");
-            for (shard, snapshot) in self.per_shard.iter().enumerate() {
-                writeln!(out, "{name}{{shard=\"{shard}\"}} {}", field(snapshot))
-                    .expect("writing to a String cannot fail");
-            }
-        }
-        for (name, help, field) in [
-            (
-                "dbi_requests_per_second",
-                "Executed requests per second over the sliding window.",
-                (|s| s.requests_per_s) as fn(&ShardSnapshot) -> f64,
-            ),
-            (
-                "dbi_rejects_per_second",
-                "Rejected requests per second over the sliding window.",
-                |s| s.rejects_per_s,
-            ),
-            (
-                "dbi_batch_lane_occupancy",
-                "Mean lane-group chains per packed kernel dispatch.",
-                |s| s.lane_occupancy(),
-            ),
-            (
-                "dbi_batch_full_dispatch_fraction",
-                "Fraction of dispatches that filled the kernel's lane width.",
-                |s| s.full_dispatch_fraction(),
-            ),
-        ] {
-            writeln!(out, "# HELP {name} {help}").expect("writing to a String cannot fail");
-            writeln!(out, "# TYPE {name} gauge").expect("writing to a String cannot fail");
-            for (shard, snapshot) in self.per_shard.iter().enumerate() {
-                writeln!(out, "{name}{{shard=\"{shard}\"}} {:.1}", field(snapshot))
-                    .expect("writing to a String cannot fail");
+                if let Some(value) = metric.source.shard_value(snapshot) {
+                    writeln!(out, "{family}{{shard=\"{shard}\"}} {value}").expect(WRITE);
+                }
             }
         }
         let name = "dbi_stage_latency_nanoseconds";
-        writeln!(out, "# HELP {name} Per-stage request latency.")
-            .expect("writing to a String cannot fail");
-        writeln!(out, "# TYPE {name} summary").expect("writing to a String cannot fail");
+        write_family(&mut out, name, "summary", "Per-stage request latency.");
         for (shard, snapshot) in self.per_shard.iter().enumerate() {
             for (stage, stats) in snapshot.latency.stages() {
-                for (quantile, value) in [
-                    ("0.5", stats.percentile_ns(0.50)),
-                    ("0.9", stats.percentile_ns(0.90)),
-                    ("0.99", stats.percentile_ns(0.99)),
-                    ("0.999", stats.percentile_ns(0.999)),
-                ] {
-                    writeln!(
-                        out,
-                        "{name}{{shard=\"{shard}\",stage=\"{stage}\",quantile=\"{quantile}\"}} {value}"
-                    )
-                    .expect("writing to a String cannot fail");
+                let labels = format!("shard=\"{shard}\",stage=\"{stage}\"");
+                for (quantile, _, label) in QUANTILES {
+                    let value = stats.percentile_ns(quantile);
+                    writeln!(out, "{name}{{{labels},quantile=\"{label}\"}} {value}").expect(WRITE);
                 }
-                writeln!(
-                    out,
-                    "{name}_sum{{shard=\"{shard}\",stage=\"{stage}\"}} {}",
-                    stats.sum_ns
-                )
-                .expect("writing to a String cannot fail");
-                writeln!(
-                    out,
-                    "{name}_count{{shard=\"{shard}\",stage=\"{stage}\"}} {}",
-                    stats.count
-                )
-                .expect("writing to a String cannot fail");
+                writeln!(out, "{name}_sum{{{labels}}} {}", stats.sum_ns).expect(WRITE);
+                writeln!(out, "{name}_count{{{labels}}} {}", stats.count).expect(WRITE);
             }
         }
-        for (name, kind, help, value) in [
-            (
-                "dbi_plan_cache_hits_total",
-                "counter",
-                "Plan-cache hits.",
-                self.plan_cache.hits,
-            ),
-            (
-                "dbi_plan_cache_misses_total",
-                "counter",
-                "Plan-cache misses.",
-                self.plan_cache.misses,
-            ),
-            (
-                "dbi_plan_cache_evictions_total",
-                "counter",
-                "Plan-cache evictions.",
-                self.plan_cache.evictions,
-            ),
-            (
-                "dbi_plan_cache_entries",
-                "gauge",
-                "Plans resident in the cache.",
-                self.plan_cache.entries as u64,
-            ),
-        ] {
-            writeln!(out, "# HELP {name} {help}").expect("writing to a String cannot fail");
-            writeln!(out, "# TYPE {name} {kind}").expect("writing to a String cannot fail");
-            writeln!(out, "{name} {value}").expect("writing to a String cannot fail");
+        for metric in METRICS {
+            if let Some(value) = metric.source.global_value(self) {
+                write_family(&mut out, metric.family, metric.kind, metric.help);
+                writeln!(out, "{} {value}", metric.family).expect(WRITE);
+            }
         }
-        for (name, kind, help, value) in [
-            (
-                "dbi_connections_active",
-                "gauge",
-                "Connections currently multiplexed by the I/O threads.",
-                self.connections.active,
-            ),
-            (
-                "dbi_connections_accepted_total",
-                "counter",
-                "Connections accepted.",
-                self.connections.accepted,
-            ),
-            (
-                "dbi_connections_closed_total",
-                "counter",
-                "Connections closed, for any reason.",
-                self.connections.closed,
-            ),
-            (
-                "dbi_connections_dropped_slow_total",
-                "counter",
-                "Connections dropped for crossing the slow-consumer write high-watermark.",
-                self.connections.dropped_slow,
-            ),
-            (
-                "dbi_connection_read_buf_high_watermark_bytes",
-                "gauge",
-                "Largest read buffer any connection has grown.",
-                self.connections.read_buf_high_watermark,
-            ),
-            (
-                "dbi_connection_write_buf_high_watermark_bytes",
-                "gauge",
-                "Largest write buffer any connection has grown.",
-                self.connections.write_buf_high_watermark,
-            ),
-            (
-                "dbi_io_wakeups_total",
-                "counter",
-                "Returns from the I/O threads' poller waits.",
-                self.connections.wakeups,
-            ),
-            (
-                "dbi_io_reads_total",
-                "counter",
-                "Socket reads that moved bytes.",
-                self.connections.reads,
-            ),
-            (
-                "dbi_io_writes_total",
-                "counter",
-                "Socket writes that moved bytes.",
-                self.connections.writes,
-            ),
-            (
-                "dbi_io_frames_in_total",
-                "counter",
-                "Frames parsed out of connections' read buffers.",
-                self.connections.frames_in,
-            ),
-            (
-                "dbi_io_frames_out_total",
-                "counter",
-                "Frames queued for connections' sockets.",
-                self.connections.frames_out,
-            ),
-        ] {
-            writeln!(out, "# HELP {name} {help}").expect("writing to a String cannot fail");
-            writeln!(out, "# TYPE {name} {kind}").expect("writing to a String cannot fail");
-            writeln!(out, "{name} {value}").expect("writing to a String cannot fail");
+        let name = "dbi_kernel_info";
+        let help = "Selected slab kernel tier and detected CPU features.";
+        write_family(&mut out, name, GAUGE, help);
+        out.push_str(name);
+        for (index, (label, value, _)) in self.kernel_fields().into_iter().enumerate() {
+            let open = if index > 0 { "," } else { "{" };
+            write!(out, "{open}{label}=\"{value}\"").expect(WRITE);
         }
-        for (name, kind, help, value) in [
-            (
-                "dbi_durability_configured",
-                "gauge",
-                "Whether a persist directory is configured (1) or not (0).",
-                u64::from(self.durability.configured),
-            ),
-            (
-                "dbi_durability_generation",
-                "gauge",
-                "Generation the shard journals are currently writing at.",
-                self.durability.generation,
-            ),
-            (
-                "dbi_snapshots_taken_total",
-                "counter",
-                "Engine snapshots written since startup (including the self-compacting recovery snapshot).",
-                self.durability.snapshots_taken,
-            ),
-            (
-                "dbi_snapshot_last_sessions",
-                "gauge",
-                "Sessions captured by the most recent snapshot.",
-                self.durability.last_sessions,
-            ),
-            (
-                "dbi_snapshot_last_bytes",
-                "gauge",
-                "On-disk size of the most recent snapshot in bytes.",
-                self.durability.last_bytes,
-            ),
-            (
-                "dbi_sessions_restored_total",
-                "counter",
-                "Sessions restored from disk (at startup or via the restore admin frame).",
-                self.durability.restored_sessions,
-            ),
-        ] {
-            writeln!(out, "# HELP {name} {help}").expect("writing to a String cannot fail");
-            writeln!(out, "# TYPE {name} {kind}").expect("writing to a String cannot fail");
-            writeln!(out, "{name} {value}").expect("writing to a String cannot fail");
-        }
-        writeln!(
-            out,
-            "# HELP dbi_kernel_info Selected slab kernel tier and detected CPU features."
-        )
-        .expect("writing to a String cannot fail");
-        writeln!(out, "# TYPE dbi_kernel_info gauge").expect("writing to a String cannot fail");
-        writeln!(
-            out,
-            "dbi_kernel_info{{selected=\"{}\",forced_scalar=\"{}\",cpu_features=\"{}\"}} 1",
-            self.kernel, self.forced_scalar, self.cpu_features
-        )
-        .expect("writing to a String cannot fail");
+        out.push_str("} 1\n");
         out
     }
 }
@@ -1363,6 +1282,7 @@ mod tests {
              \"rate\":{{\"requests_per_s\":2.5,\"rejects_per_s\":0.5,\
              \"window_s\":8}},\
              \"batch\":{{\"passes\":2,\"coalesced\":1,\"dispatches\":2,\
+             \"dispatch_chains\":7,\"full_dispatches\":1,\
              \"lane_occupancy\":3.5,\"full_dispatch_fraction\":0.50,\
              \"size_p50\":3,\"size_p99\":4,\"bursts_per_request\":2.0}},\
              \"verify\":{{\"requests\":1,\"failures\":0}},\
@@ -1459,49 +1379,200 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_snapshots_shard_by_shard() {
-        let mut left = golden_snapshot();
-        let mut right = golden_snapshot();
-        // Give the right side a second shard so merge has to extend.
-        right.per_shard.push(ShardSnapshot {
-            requests: 7,
-            queue_depth_peak: 9,
-            ..ShardSnapshot::default()
-        });
+    fn prometheus_float_gauges_print_at_full_precision() {
+        // One full dispatch out of 4, then out of 20.
+        for (dispatches, fraction) in [(4, "0.25"), (20, "0.05")] {
+            let snapshot = MetricsSnapshot {
+                per_shard: vec![ShardSnapshot {
+                    dispatches,
+                    dispatch_chains: 3 * dispatches,
+                    full_dispatches: 1,
+                    ..ShardSnapshot::default()
+                }],
+                ..golden_snapshot()
+            };
+            let text = snapshot.to_prometheus();
+            assert!(
+                text.contains(&format!(
+                    "dbi_batch_full_dispatch_fraction{{shard=\"0\"}} {fraction}\n"
+                )),
+                "{text}"
+            );
+            assert!(text.contains("dbi_batch_lane_occupancy{shard=\"0\"} 3\n"));
+            // JSON keeps its fixed two decimals for the fraction.
+            assert!(snapshot
+                .to_json()
+                .contains(&format!("\"full_dispatch_fraction\":{fraction}")));
+        }
+    }
 
-        left.merge(&right);
-        assert_eq!(left.per_shard.len(), 2);
-        assert_eq!(left.per_shard[0].requests, 6);
-        assert_eq!(left.per_shard[0].bytes, 192);
-        assert_eq!(left.per_shard[0].queue_depth_peak, 8);
-        assert_eq!(left.per_shard[0].requests_per_s, 5.0);
-        assert_eq!(left.per_shard[0].latency.total.count, 2);
-        assert_eq!(left.per_shard[0].latency.total.sum_ns, 1400);
-        assert_eq!(left.per_shard[1].requests, 7);
-        assert_eq!(left.per_shard[1].queue_depth_peak, 9);
-        assert_eq!(left.plan_cache.hits, 8);
-        assert_eq!(left.plan_cache.entries, 2);
-        // Connection counters sum; the buffer high-watermarks take the
-        // maximum (both sides peaked at the same size here).
-        assert_eq!(left.connections.active, 2);
-        assert_eq!(left.connections.accepted, 6);
-        assert_eq!(left.connections.closed, 4);
-        assert_eq!(left.connections.dropped_slow, 2);
-        assert_eq!(left.connections.writes, 40);
-        assert_eq!(left.connections.frames_out, 120);
-        assert_eq!(left.connections.read_buf_high_watermark, 4096);
-        assert_eq!(left.connections.write_buf_high_watermark, 65536);
-        // Per-shard durability counters fold like any other counter; the
-        // engine-level durability block keeps the left side's values,
-        // like the kernel block.
-        assert_eq!(left.per_shard[0].sessions_evicted, 2);
-        assert_eq!(left.per_shard[0].journal_records, 10);
-        assert_eq!(left.per_shard[0].journal_bytes, 480);
-        assert_eq!(left.durability.snapshots_taken, 2);
-        // The kernel block keeps the left side's values.
-        assert_eq!(left.kernel, "scalar");
-        let totals = left.totals();
-        assert_eq!(totals.requests, 13);
+    /// The JSON text of `block`'s object in the first shard (or, for an
+    /// engine-global block, at the top level); `""` is the shard object's
+    /// own members before its first nested block.
+    fn json_block<'a>(json: &'a str, block: &str) -> &'a str {
+        let start = if block.is_empty() {
+            json.find("\"shards\":[{").expect("a shard object") + "\"shards\":[{".len()
+        } else {
+            let opener = format!("\"{block}\":{{");
+            json.find(&opener).expect("the block is present") + opener.len()
+        };
+        let rest = &json[start..];
+        &rest[..rest.find(['{', '}']).unwrap_or(rest.len())]
+    }
+
+    #[test]
+    fn every_table_row_appears_on_both_surfaces() {
+        let snapshot = golden_snapshot();
+        let json = snapshot.to_json();
+        let text = snapshot.to_prometheus();
+        let mut families = std::collections::HashSet::new();
+        for metric in METRICS {
+            assert!(families.insert(metric.family), "{} repeats", metric.family);
+            let key = format!("\"{}\":", metric.key);
+            assert!(
+                json_block(&json, metric.block).contains(&key),
+                "{}.{} missing from the JSON",
+                metric.block,
+                metric.key
+            );
+            assert!(text.contains(&format!("# TYPE {} {}\n", metric.family, metric.kind)));
+            let sample = if metric.source.per_shard() {
+                format!("\n{}{{shard=\"0\"}} ", metric.family)
+            } else {
+                format!("\n{} ", metric.family)
+            };
+            assert!(text.contains(&sample), "{} has no sample", metric.family);
+        }
+        // Every family of the exposition, the table's plus the latency
+        // summary and the kernel info gauge, has exactly one HELP and one
+        // TYPE line.
+        let named = |prefix: &str| -> Vec<String> {
+            text.lines()
+                .filter_map(|line| line.strip_prefix(prefix))
+                .map(|rest| rest.split(' ').next().unwrap().to_string())
+                .collect()
+        };
+        let (helps, types) = (named("# HELP "), named("# TYPE "));
+        assert_eq!(helps, types);
+        assert_eq!(types.len(), METRICS.len() + 2);
+        let unique: std::collections::HashSet<&String> = types.iter().collect();
+        assert_eq!(unique.len(), types.len(), "a family repeats");
+    }
+
+    #[test]
+    fn totals_fold_each_rule_across_two_shards() {
+        let mut snapshot = golden_snapshot();
+        let first = snapshot.per_shard[0];
+        let mut second = ShardSnapshot {
+            requests: 7,
+            bursts: 14,
+            queue_depth_peak: 9,
+            dispatches: 2,
+            dispatch_chains: 1,
+            requests_per_s: 1.5,
+            rejects_per_s: 0.25,
+            ..first
+        };
+        second.batch_hist[4] = 3;
+        second.latency.encode.buckets[5] = 2;
+        second.latency.encode.count = 2;
+        second.latency.encode.sum_ns = 80;
+        snapshot.per_shard.push(second);
+        let totals = snapshot.totals();
+
+        // Every stored count sums.
+        for metric in METRICS {
+            if let Source::Shard { field, fold, .. } = metric.source {
+                assert_eq!(fold, Fold::Sum, "{}", metric.family);
+                assert_eq!(
+                    (field.get)(&totals),
+                    (field.get)(&first) + (field.get)(&second)
+                );
+            }
+        }
+        assert_eq!(
+            (totals.requests, totals.rejected, totals.bytes),
+            (10, 2, 192)
+        );
+        // The queue-depth peak sums too: an upper bound on the peak of
+        // total queued work.
+        assert_eq!(totals.queue_depth_peak, 13);
+        assert_eq!(totals.sessions_evicted, 2);
+        assert_eq!((totals.journal_records, totals.journal_bytes), (10, 480));
+        // Rates sum.
+        assert_eq!((totals.requests_per_s, totals.rejects_per_s), (4.0, 0.75));
+        // Histograms add bucket by bucket.
+        assert_eq!(totals.batch_hist[1], 4);
+        assert_eq!(totals.batch_hist[4], 3);
+        for ((_, total), ((_, one), (_, two))) in totals.latency.stages().into_iter().zip(
+            first
+                .latency
+                .stages()
+                .into_iter()
+                .zip(second.latency.stages()),
+        ) {
+            for bucket in 0..total.buckets.len() {
+                assert_eq!(
+                    total.buckets[bucket],
+                    one.buckets[bucket] + two.buckets[bucket]
+                );
+            }
+            assert_eq!(total.count, one.count + two.count);
+            assert_eq!(total.sum_ns, one.sum_ns + two.sum_ns);
+        }
         assert_eq!(totals.latency.total.count, 2);
+        assert_eq!(totals.latency.total.sum_ns, 1400);
+        // Derived values follow from the folded counts, not from summing
+        // the shards' own values.
+        assert_eq!(totals.lane_occupancy(), 2.0);
+        assert_eq!(totals.bursts_per_request(), 2.0);
+        let json = snapshot.to_json();
+        let totals_json = &json[json.find("\"totals\":").unwrap()..];
+        assert!(totals_json.contains("\"requests\":10,"));
+        assert!(totals_json.contains("\"lane_occupancy\":2.0,"));
+    }
+
+    #[test]
+    fn publish_sums_io_counts_and_keeps_the_largest_buffer_peak() {
+        let metrics = ConnectionMetrics::default();
+        metrics.on_accept();
+        metrics.on_accept();
+        metrics.on_dropped_slow();
+        metrics.on_close();
+        let mut counters = IoCounters {
+            wakeups: 3,
+            reads: 2,
+            writes: 1,
+            frames_in: 4,
+            frames_out: 5,
+            read_buf_peak: 4096,
+            write_buf_peak: 100,
+        };
+        metrics.publish(&mut counters);
+        assert_eq!((counters.wakeups, counters.read_buf_peak), (0, 0));
+        metrics.publish(&mut IoCounters {
+            wakeups: 1,
+            frames_out: 1,
+            read_buf_peak: 1024,
+            write_buf_peak: 65536,
+            ..IoCounters::default()
+        });
+        let snapshot = metrics.snapshot();
+        assert_eq!(
+            snapshot,
+            ConnectionsSnapshot {
+                active: 1,
+                accepted: 2,
+                closed: 1,
+                dropped_slow: 1,
+                read_buf_high_watermark: 4096,
+                write_buf_high_watermark: 65536,
+                wakeups: 4,
+                reads: 2,
+                writes: 1,
+                frames_in: 4,
+                frames_out: 6,
+            }
+        );
     }
 }

@@ -8,8 +8,11 @@
 //! threshold, pushes a mixed stream (plain and verify-mode requests over
 //! several sessions) through the TCP front end, then drains the
 //! protocol-4 `TraceDump` and `SlowlogQuery` frames like an external
-//! operator would. CI runs this end to end: if any surface goes dark, the
-//! probe exits non-zero.
+//! operator would. It also checks the Prometheus exposition itself: every
+//! `# TYPE` family has at least one sample, and the per-shard
+//! `dbi_requests_total` samples sum to the snapshot's totals. CI runs this
+//! end to end: if any surface goes dark or any check fails, the probe
+//! exits non-zero.
 
 use dbi::service::telemetry::chrome_trace_json;
 use dbi::service::{
@@ -97,6 +100,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         println!("{line}");
     }
+
+    // --- Exposition integrity: no family without samples, and the
+    // per-shard series add up to the snapshot's totals. ------------------
+    let families: Vec<&str> = prometheus
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|rest| rest.split(' ').next())
+        .collect();
+    let bare: Vec<&&str> = families
+        .iter()
+        .filter(|family| {
+            !prometheus.lines().any(|line| {
+                line.strip_prefix(**family)
+                    .is_some_and(|rest| rest.starts_with(['{', ' ']))
+            })
+        })
+        .collect();
+    assert!(bare.is_empty(), "families without samples: {bare:?}");
+    let requests: u64 = prometheus
+        .lines()
+        .filter(|line| line.starts_with("dbi_requests_total{"))
+        .map(|line| line.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(requests, totals.requests, "dbi_requests_total over shards");
+    println!(
+        "{} families, each with samples; dbi_requests_total sums to {requests}",
+        families.len()
+    );
 
     // --- Trace ring: the last N requests, drained over the wire. --------
     let events = tcp.trace_dump(64)?;
