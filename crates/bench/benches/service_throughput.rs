@@ -8,11 +8,13 @@
 //! * `local` — each client thread owns a [`LocalClient`] (the
 //!   allocation-free in-process path; measures engine + sharding),
 //! * `tcp` — each client thread owns a [`TcpClient`] over loopback
-//!   (adds the wire protocol and socket round trip),
-//! * `local-batch` / `tcp-batch` — the protocol-3 **batched data
-//!   plane**: each request is one `EncodeBatch` submission carrying
-//!   [`BATCH_ACCESSES`] accesses (one header + contiguous payload per
-//!   whole batch), the throughput headline of the slab refactor,
+//!   (adds the wire protocol and socket round trip; one pipelined frame
+//!   in flight at a time),
+//! * `local-batch` / `tcp-batch` — the **batched data plane**: each
+//!   request is one batch submission (over TCP, the pipelined batch
+//!   frame) carrying [`BATCH_ACCESSES`] accesses (one header +
+//!   contiguous payload per whole batch), the throughput headline of
+//!   the slab refactor,
 //! * `pipelined` — the protocol-5 **high-fan-in rows**: one driver
 //!   multiplexing 64/256/1024 [`PipelinedClient`] connections into the
 //!   event-driven connection plane, keeping a constant

@@ -1,12 +1,4 @@
-//! The TCP clients.
-//!
-//! [`TcpClient`] speaks the [`wire`] protocol over one
-//! [`std::net::TcpStream`], request–response style, and exposes the same
-//! [`EncodeRequest`]/[`EncodeReply`] types as the in-process
-//! [`LocalClient`](crate::LocalClient) — code written against one client
-//! works against the other. The frame buffers are owned by the client and
-//! reused, so a steady request loop settles into zero buffer reallocation
-//! (the socket itself, of course, still costs syscalls).
+//! The TCP clients: one connection, two surfaces.
 //!
 //! [`PipelinedClient`] speaks the protocol-5 pipelined form: requests are
 //! **submitted** without waiting ([`PipelinedClient::submit`] frames the
@@ -18,96 +10,47 @@
 //! when it would pass 16 KiB, or on [`PipelinedClient::flush`]. Many
 //! requests ride one connection concurrently, so a single client can keep
 //! every engine shard busy without one thread per outstanding request.
+//!
+//! [`TcpClient`] is the blocking surface over one private
+//! `PipelinedClient`: each call queues one frame, flushes it and waits
+//! for its answer, so it never has a request in flight between calls. It
+//! exposes the same [`EncodeRequest`]/[`EncodeReply`] types as the
+//! in-process [`LocalClient`](crate::LocalClient) — code written against
+//! one client works against the other — plus the metrics, telemetry and
+//! durability admin calls. Its encode requests travel in the pipelined
+//! framings, so it needs a protocol-5 or later service.
+//!
+//! Both surfaces share one socket, one send queue, one receive buffer and
+//! one frame reader. The buffers are owned by the connection and reused,
+//! so a steady request loop settles into zero buffer reallocation (the
+//! socket itself, of course, still costs syscalls).
 
 use crate::engine::{EncodeBatchRequest, EncodeReply, EncodeRequest};
 use crate::error::ClientError;
 use crate::telemetry::TraceEvent;
-use crate::wire::{
-    self, EncodeResponseView, ErrorCode, ErrorFrame, Frame, SnapshotStatus, HEADER_LEN,
-};
+use crate::wire::{self, ErrorCode, ErrorFrame, Frame, SnapshotStatus, HEADER_LEN};
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-/// Reads exactly one frame into `buf` (header + body, replacing previous
-/// contents). Returns `Ok(false)` on a clean end-of-stream at a frame
-/// boundary, `Ok(true)` when `buf` holds a complete frame.
-///
-/// The header is validated *before* the body is read, so a corrupt or
-/// hostile length field ([`wire::MAX_BODY_LEN`] bound, bad magic, wrong
-/// version) is rejected without reading — let alone allocating — the body.
-pub(crate) fn read_frame(reader: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, ClientError> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        let n = reader.read(&mut header[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(false);
-            }
-            return Err(wire::WireError::Truncated {
-                needed: HEADER_LEN,
-                got: filled,
-            }
-            .into());
-        }
-        filled += n;
-    }
-    let parsed = wire::parse_header(&header)?;
-    buf.clear();
-    buf.extend_from_slice(&header);
-    buf.resize(HEADER_LEN + parsed.body_len, 0);
-    reader.read_exact(&mut buf[HEADER_LEN..])?;
-    Ok(true)
-}
-
-/// A blocking request–response client over TCP.
+/// A blocking request–response client over TCP: a facade over one
+/// [`PipelinedClient`] that waits for each answer before it returns.
+/// Needs a protocol-5 or later service, because its encode requests
+/// carry a request id.
 #[derive(Debug)]
 pub struct TcpClient {
-    stream: TcpStream,
-    in_buf: Vec<u8>,
-    out_buf: Vec<u8>,
+    inner: PipelinedClient,
 }
 
 impl TcpClient {
-    /// Connects to a service and disables Nagle batching (the protocol is
-    /// strict request–response, so delaying small frames only adds
-    /// latency).
+    /// Connects to a service and disables Nagle batching (every call
+    /// sends one frame and waits for its answer, so delaying small frames
+    /// only adds latency).
     ///
     /// # Errors
     ///
     /// Any [`io::Error`] from establishing the connection.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpClient> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        Ok(TcpClient {
-            stream,
-            in_buf: Vec::new(),
-            out_buf: Vec::new(),
-        })
-    }
-
-    /// The shared exchange of every request method: writes the frame
-    /// `write` stages, reads exactly one response frame and hands it to
-    /// `read`. An id-free error frame becomes [`ClientError::Remote`];
-    /// any frame `read` declines is [`ClientError::UnexpectedResponse`].
-    fn call<T>(
-        &mut self,
-        write: impl FnOnce(&mut Vec<u8>),
-        read: impl FnOnce(Frame<'_>) -> Option<T>,
-    ) -> Result<T, ClientError> {
-        self.out_buf.clear();
-        write(&mut self.out_buf);
-        self.stream.write_all(&self.out_buf)?;
-        if !read_frame(&mut self.stream, &mut self.in_buf)? {
-            return Err(closed_early().into());
-        }
-        match wire::decode_frame(&self.in_buf)?.0 {
-            Frame::Error {
-                request_id: None,
-                error,
-            } => Err(remote_error(&error)),
-            frame => read(frame).ok_or(ClientError::UnexpectedResponse),
-        }
+        PipelinedClient::connect(addr).map(|inner| TcpClient { inner })
     }
 
     /// Executes one encode request over the socket. Results are written
@@ -130,11 +73,11 @@ impl TcpClient {
     }
 
     /// Executes one **batched** encode request over the socket: a whole
-    /// batch of bursts travels as a single protocol-3 `EncodeBatch` frame
-    /// (one header + contiguous payload) where a per-burst loop would
-    /// have framed and round-tripped N times. Results land in `reply`
-    /// exactly as with [`TcpClient::encode`]; the reused frame buffers
-    /// keep the steady-state zero-reallocation guarantee.
+    /// batch of bursts travels as a single batch frame (one header +
+    /// contiguous payload) where a per-burst loop would have framed and
+    /// round-tripped N times. Results land in `reply` exactly as with
+    /// [`TcpClient::encode`]; the reused frame buffers keep the
+    /// steady-state zero-reallocation guarantee.
     ///
     /// # Errors
     ///
@@ -149,28 +92,31 @@ impl TcpClient {
         self.exchange(&batch.request, Some(batch.count), reply)
     }
 
-    /// The one encode path of both entry points: sends the request in
-    /// the framing `count` selects and expects the matching response,
-    /// which must echo the session id and the count.
+    /// The one encode path of both entry points: submits the request in
+    /// the framing `count` selects and waits for its completion. A
+    /// response must echo the request id, the session id and the count.
     fn exchange(
         &mut self,
         request: &EncodeRequest<'_>,
         count: Option<u16>,
         reply: &mut EncodeReply,
     ) -> Result<(), ClientError> {
-        self.call(
-            |out| request.encode_framed_into(out, None, count),
-            |frame| match frame {
-                Frame::EncodeResponse {
-                    request_id: None,
-                    response,
-                } if response.session_id == request.session_id && response.count == count => {
-                    fill_reply(reply, &response);
-                    Some(())
-                }
-                _ => None,
-            },
-        )
+        let sent = self.inner.send(request, count)?;
+        let echo = (Some(sent), request.session_id, count);
+        let done = self.inner.wait_completion(|frame| match frame {
+            Frame::EncodeResponse {
+                request_id,
+                response,
+            } if (request_id, response.session_id, response.count) != echo => {
+                Err(ClientError::UnexpectedResponse)
+            }
+            frame => completion(frame, reply),
+        })?;
+        match done.error {
+            _ if done.request_id != sent => Err(ClientError::UnexpectedResponse),
+            None => Ok(()),
+            Some((code, message)) => Err(ClientError::Remote { code, message }),
+        }
     }
 
     /// Fetches the service's metrics snapshot as JSON.
@@ -179,10 +125,11 @@ impl TcpClient {
     ///
     /// Same failure modes as [`TcpClient::encode`].
     pub fn metrics_json(&mut self) -> Result<String, ClientError> {
-        self.call(wire::encode_metrics_request, |frame| match frame {
-            Frame::MetricsResponse(json) => Some(json.to_owned()),
-            _ => None,
-        })
+        self.inner
+            .admin(wire::encode_metrics_request, |frame| match frame {
+                Frame::MetricsResponse(json) => Some(json.to_owned()),
+                _ => None,
+            })
     }
 
     /// Drains the service's recent trace events — up to `max_events` per
@@ -193,7 +140,7 @@ impl TcpClient {
     ///
     /// Same failure modes as [`TcpClient::metrics_json`].
     pub fn trace_dump(&mut self, max_events: u32) -> Result<Vec<TraceEvent>, ClientError> {
-        self.call(
+        self.inner.admin(
             |out| wire::encode_trace_dump_request(out, max_events),
             |frame| match frame {
                 Frame::TraceDumpResponse(view) => Some(view.events().collect()),
@@ -210,7 +157,7 @@ impl TcpClient {
     ///
     /// Same failure modes as [`TcpClient::metrics_json`].
     pub fn slowlog(&mut self, max_entries: u32) -> Result<(u64, Vec<TraceEvent>), ClientError> {
-        self.call(
+        self.inner.admin(
             |out| wire::encode_slowlog_request(out, max_entries),
             |frame| match frame {
                 Frame::SlowlogResponse(view) => Some((view.threshold_ns, view.entries().collect())),
@@ -232,7 +179,7 @@ impl TcpClient {
     /// persist directory, and `Internal` when writing the snapshot
     /// failed.
     pub fn trigger_snapshot(&mut self) -> Result<SnapshotStatus, ClientError> {
-        self.admin_call(wire::encode_snapshot_request)
+        self.status_call(wire::encode_snapshot_request)
     }
 
     /// Fetches the service's durability status (protocol 6's
@@ -243,7 +190,7 @@ impl TcpClient {
     ///
     /// Same failure modes as [`TcpClient::metrics_json`].
     pub fn snapshot_status(&mut self) -> Result<SnapshotStatus, ClientError> {
-        self.admin_call(wire::encode_snapshot_status_request)
+        self.status_call(wire::encode_snapshot_status_request)
     }
 
     /// Asks the service to reload session state from its persist
@@ -255,13 +202,13 @@ impl TcpClient {
     ///
     /// Same failure modes as [`TcpClient::trigger_snapshot`].
     pub fn restore(&mut self) -> Result<SnapshotStatus, ClientError> {
-        self.admin_call(wire::encode_restore_request)
+        self.status_call(wire::encode_restore_request)
     }
 
     /// Shared exchange of the three durability admin requests: sends the
     /// frame `write` stages, expects a snapshot-status response.
-    fn admin_call(&mut self, write: fn(&mut Vec<u8>)) -> Result<SnapshotStatus, ClientError> {
-        self.call(write, |frame| match frame {
+    fn status_call(&mut self, write: fn(&mut Vec<u8>)) -> Result<SnapshotStatus, ClientError> {
+        self.inner.admin(write, |frame| match frame {
             Frame::SnapshotStatus(status) => Some(status),
             _ => None,
         })
@@ -393,7 +340,7 @@ impl PipelinedClient {
         self.send(&batch.request, Some(batch.count))
     }
 
-    /// The one encode path of both entry points: queues the request
+    /// The one encode path of every entry point: queues the request
     /// behind the next request id, in the framing `count` selects,
     /// flushing first when the frame would take the queue past
     /// `SEND_BOUND`.
@@ -415,6 +362,27 @@ impl PipelinedClient {
         self.next_id = self.next_id.wrapping_add(1);
         self.in_flight += 1;
         Ok(request_id)
+    }
+
+    /// The one admin exchange (metrics, telemetry, durability): queues
+    /// the frame `write` stages, flushes, and hands the next frame to
+    /// `read`. An id-free error frame becomes [`ClientError::Remote`]; a
+    /// frame `read` declines is [`ClientError::UnexpectedResponse`]. Only
+    /// [`TcpClient`] calls it, with no encode request in flight, so the
+    /// next frame is the answer.
+    fn admin<T>(
+        &mut self,
+        write: impl FnOnce(&mut Vec<u8>),
+        read: impl Fn(Frame<'_>) -> Option<T>,
+    ) -> Result<T, ClientError> {
+        write(&mut self.out_buf);
+        self.next_frame(|frame| match frame {
+            Frame::Error {
+                request_id: None,
+                error,
+            } => Err(remote_error(&error)),
+            frame => read(frame).ok_or(ClientError::UnexpectedResponse),
+        })
     }
 
     /// Writes every queued submission to the socket in one blocking
@@ -462,15 +430,7 @@ impl PipelinedClient {
         &mut self,
         reply: &mut EncodeReply,
     ) -> Result<PipelinedCompletion, ClientError> {
-        self.flush()?;
-        loop {
-            if let Some(done) = self.take_buffered(reply)? {
-                return Ok(done);
-            }
-            if !self.read_some()? {
-                return Err(closed_early().into());
-            }
-        }
+        self.wait_completion(|frame| completion(frame, reply))
     }
 
     /// [`PipelinedClient::next_completion`] without blocking on replies:
@@ -485,15 +445,47 @@ impl PipelinedClient {
         &mut self,
         reply: &mut EncodeReply,
     ) -> Result<Option<PipelinedCompletion>, ClientError> {
-        if let Some(done) = self.take_buffered(reply)? {
-            return Ok(Some(done));
+        let mut done = self.take_frame(|frame| completion(frame, reply))?;
+        if done.is_none() {
+            self.flush()?;
+            self.stream.set_nonblocking(true)?;
+            let drained = self.drain_ready();
+            self.stream.set_nonblocking(false)?;
+            drained?;
+            done = self.take_frame(|frame| completion(frame, reply))?;
         }
+        if done.is_some() {
+            self.in_flight = self.in_flight.saturating_sub(1);
+        }
+        Ok(done)
+    }
+
+    /// The blocking wait of both clients: the next frame, which `read`
+    /// turns into a completion, retires one request in flight.
+    fn wait_completion(
+        &mut self,
+        read: impl FnMut(Frame<'_>) -> Result<PipelinedCompletion, ClientError>,
+    ) -> Result<PipelinedCompletion, ClientError> {
+        let done = self.next_frame(read)?;
+        self.in_flight = self.in_flight.saturating_sub(1);
+        Ok(done)
+    }
+
+    /// Flushes the send queue, then reads the socket until a whole frame
+    /// is buffered and hands it to `read`.
+    fn next_frame<T>(
+        &mut self,
+        mut read: impl FnMut(Frame<'_>) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
         self.flush()?;
-        self.stream.set_nonblocking(true)?;
-        let drained = self.drain_ready();
-        self.stream.set_nonblocking(false)?;
-        drained?;
-        self.take_buffered(reply)
+        loop {
+            if let Some(value) = self.take_frame(&mut read)? {
+                return Ok(value);
+            }
+            if !self.read_some()? {
+                return Err(closed_early().into());
+            }
+        }
     }
 
     /// Reads until the socket would block.
@@ -509,7 +501,7 @@ impl PipelinedClient {
     }
 
     /// One socket read appended to the receive buffer, after dropping the
-    /// prefix [`take_buffered`](Self::take_buffered) has parsed — so the
+    /// prefix [`take_frame`](Self::take_frame) has consumed — so the
     /// buffer holds at most one partial frame plus what the reads since
     /// the last parse returned. Growth is exact, not doubling, so a
     /// blocking read loop never takes the capacity past one chunk plus a
@@ -535,12 +527,17 @@ impl PipelinedClient {
         }
     }
 
-    /// Decodes one completion out of the receive buffer, if a whole
-    /// frame is there.
-    fn take_buffered(
+    /// The one frame reader: consumes the next whole frame of the receive
+    /// buffer and hands it to `read`, decoded; `Ok(None)` when no whole
+    /// frame is buffered yet. The header is validated first, so a bad
+    /// magic, version or length field ([`wire::MAX_BODY_LEN`]) is
+    /// rejected before the body is waited for, let alone buffered. A
+    /// whole frame is consumed even when it fails to decode or `read`
+    /// refuses it, so the next call starts on the next frame.
+    fn take_frame<T>(
         &mut self,
-        reply: &mut EncodeReply,
-    ) -> Result<Option<PipelinedCompletion>, ClientError> {
+        read: impl FnOnce(Frame<'_>) -> Result<T, ClientError>,
+    ) -> Result<Option<T>, ClientError> {
         let avail = &self.recv_buf[self.parsed..];
         let header = match wire::parse_header(avail) {
             Ok(header) => header,
@@ -551,44 +548,41 @@ impl PipelinedClient {
         if avail.len() < total {
             return Ok(None);
         }
-        let completion = match wire::decode_frame(&avail[..total])?.0 {
-            Frame::EncodeResponse {
-                request_id: Some(request_id),
-                response,
-            } => {
-                fill_reply(reply, &response);
-                PipelinedCompletion {
-                    request_id,
-                    error: None,
-                }
-            }
-            Frame::Error {
-                request_id: Some(request_id),
-                error,
-            } => PipelinedCompletion {
-                request_id,
-                error: Some((error.code, error.message.to_owned())),
-            },
-            Frame::Error {
-                request_id: None,
-                error,
-            } => return Err(remote_error(&error)),
-            _ => return Err(ClientError::UnexpectedResponse),
-        };
         self.parsed += total;
-        self.in_flight = self.in_flight.saturating_sub(1);
-        Ok(Some(completion))
+        read(wire::decode_frame(&avail[..total])?.0).map(Some)
     }
 }
 
-/// Refills a caller-owned reply from a decoded response's record streams,
-/// reusing its capacity.
-fn fill_reply(reply: &mut EncodeReply, response: &EncodeResponseView<'_>) {
-    reply.bursts = response.bursts;
-    reply.per_group.clear();
-    reply.per_group.extend(response.per_group());
-    reply.masks.clear();
-    reply.masks.extend(response.masks());
+/// Decodes one pipelined completion, refilling `reply` from a success
+/// response's record streams (reusing its capacity). An id-free error
+/// frame is a connection-level [`ClientError::Remote`].
+fn completion(
+    frame: Frame<'_>,
+    reply: &mut EncodeReply,
+) -> Result<PipelinedCompletion, ClientError> {
+    let (request_id, error) = match frame {
+        Frame::EncodeResponse {
+            request_id: Some(request_id),
+            response,
+        } => {
+            reply.bursts = response.bursts;
+            reply.per_group.clear();
+            reply.per_group.extend(response.per_group());
+            reply.masks.clear();
+            reply.masks.extend(response.masks());
+            (request_id, None)
+        }
+        Frame::Error {
+            request_id: Some(request_id),
+            error,
+        } => (request_id, Some((error.code, error.message.to_owned()))),
+        Frame::Error {
+            request_id: None,
+            error,
+        } => return Err(remote_error(&error)),
+        _ => return Err(ClientError::UnexpectedResponse),
+    };
+    Ok(PipelinedCompletion { request_id, error })
 }
 
 /// Lifts a decoded error frame into the owned client error.
@@ -611,53 +605,63 @@ mod tests {
     use super::*;
     use crate::wire::{EncodeResponseFrame, PipelinedResponseFrame, WireError};
     use dbi_core::CostBreakdown;
-    use std::net::TcpListener;
+    use std::net::{SocketAddr, TcpListener};
+    use std::thread::JoinHandle;
+
+    /// A one-shot service: accepts one connection, reads one bodiless
+    /// request frame, writes `answer` and hangs up.
+    fn answer_once(answer: Vec<u8>) -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut socket, _) = listener.accept().unwrap();
+            let mut request = [0u8; HEADER_LEN];
+            socket.read_exact(&mut request).unwrap();
+            socket.write_all(&answer).unwrap();
+        });
+        (addr, server)
+    }
+
+    /// What a metrics call makes of `answer`, and the receive buffer's
+    /// capacity afterwards.
+    fn metrics_answered_by(answer: Vec<u8>) -> (Result<String, ClientError>, usize) {
+        let (addr, server) = answer_once(answer);
+        let mut client = TcpClient::connect(addr).unwrap();
+        let result = client.metrics_json();
+        server.join().unwrap();
+        (result, client.inner.recv_buf.capacity())
+    }
 
     #[test]
-    fn read_frame_distinguishes_clean_eof_from_truncation() {
-        let mut buf = Vec::new();
-        let mut empty: &[u8] = &[];
-        assert!(!read_frame(&mut empty, &mut buf).unwrap());
-
+    fn the_frame_reader_tells_a_whole_frame_from_a_cut_stream() {
         let mut whole = Vec::new();
-        wire::encode_metrics_request(&mut whole);
-        let mut cursor: &[u8] = &whole;
-        assert!(read_frame(&mut cursor, &mut buf).unwrap());
-        assert_eq!(buf, whole);
+        wire::encode_metrics_response(&mut whole, "{\"x\":1}");
+        assert_eq!(metrics_answered_by(whole.clone()).0.unwrap(), "{\"x\":1}");
 
-        // A stream that dies inside the header is a wire error, not EOF.
-        let mut partial: &[u8] = &whole[..3];
-        assert!(matches!(
-            read_frame(&mut partial, &mut buf),
-            Err(ClientError::Wire(WireError::Truncated {
-                needed: 8,
-                got: 3
-            }))
-        ));
-
-        // A stream that dies inside the body is a transport error.
-        let mut long = Vec::new();
-        wire::encode_metrics_response(&mut long, "{\"x\":1}");
-        let mut partial: &[u8] = &long[..long.len() - 2];
-        assert!(matches!(
-            read_frame(&mut partial, &mut buf),
-            Err(ClientError::Io(_))
-        ));
+        // A clean end of stream before, inside the header of, or inside
+        // the body of the answer is a transport error alike.
+        for cut in [0, 3, whole.len() - 2] {
+            match metrics_answered_by(whole[..cut].to_vec()).0 {
+                Err(ClientError::Io(err)) => {
+                    assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+                }
+                other => panic!("cut at {cut}: {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn oversized_header_is_rejected_before_the_body_is_read() {
         let mut frame = Vec::new();
-        wire::encode_metrics_request(&mut frame);
+        wire::encode_metrics_response(&mut frame, &"x".repeat(64));
         frame[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut cursor: &[u8] = &frame;
-        let mut buf = Vec::new();
-        assert!(matches!(
-            read_frame(&mut cursor, &mut buf),
-            Err(ClientError::Wire(WireError::Oversized { .. }))
-        ));
-        // The rejected body was never buffered.
-        assert!(buf.capacity() < 1024);
+        let (result, capacity) = metrics_answered_by(frame);
+        assert!(
+            matches!(result, Err(ClientError::Wire(WireError::Oversized { .. }))),
+            "{result:?}"
+        );
+        // Nothing past the bytes that arrived was buffered for the body.
+        assert!(capacity < 1024, "{capacity}");
     }
 
     #[test]

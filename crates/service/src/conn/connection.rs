@@ -11,13 +11,12 @@
 //! boundary, which lets the slow-consumer notice tell whether the peer
 //! last saw a whole frame.
 //!
-//! Framing errors follow the thread-per-connection front end's rules
-//! exactly: a *header*-level violation (bad magic, unsupported version,
-//! oversized body) is answered with one `BadRequest` error frame and the
-//! connection closes once it flushes — a peer that cannot frame
-//! correctly cannot be resynchronised. A well-framed body that fails to
-//! decode also gets `BadRequest`, but the frame boundary is intact, so
-//! the connection stays open and the next frame is served.
+//! Framing errors: a *header*-level violation (bad magic, unsupported
+//! version, oversized body) is answered with one `BadRequest` error
+//! frame and the connection closes once it flushes — a peer that cannot
+//! frame correctly cannot be resynchronised. A well-framed body that
+//! fails to decode also gets `BadRequest`, but the frame boundary is
+//! intact, so the connection stays open and the next frame is served.
 
 use super::{ConnConfig, SlotPool};
 use crate::engine::{Completion, CompletionSink, Engine, Phase, RequestSlot};
@@ -34,6 +33,11 @@ use std::sync::Arc;
 /// connection's read buffer stays as small as its actual backlog —
 /// essential when one thread multiplexes thousands of connections.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// Unparsed bytes a connection's read buffer holds before the plane
+/// stops reading from its socket (kernel-side backpressure): one maximum
+/// frame, so any legal frame can always be buffered whole.
+const READ_HIGH_WATERMARK: usize = wire::HEADER_LEN + wire::MAX_BODY_LEN;
 
 /// Flushed-prefix length past which the write buffer is compacted even
 /// though unflushed bytes remain, bounding the memmove cost per byte.
@@ -95,8 +99,9 @@ pub(crate) struct Connection {
     write_buf: Vec<u8>,
     flushed: usize,
     pending: Vec<Pending>,
-    /// A legacy (v1–v4) encode request is in flight: parsing is paused
-    /// to preserve strict one-in, one-out response ordering.
+    /// An id-free encode request (tag 1 or 6, any version) is in
+    /// flight: parsing is paused to preserve strict one-in, one-out
+    /// response ordering.
     legacy_in_flight: bool,
     /// Mirror of the pause condition, refreshed after every unit of
     /// work, so interest can be computed without a context.
@@ -262,7 +267,7 @@ impl Connection {
     fn fill_read_buf(&mut self, ctx: &mut IoContext<'_>) -> Result<(), Close> {
         let mut chunk = [0u8; READ_CHUNK];
         loop {
-            if self.read_buf.len() - self.parsed >= ctx.config.read_high_watermark {
+            if self.read_buf.len() - self.parsed >= READ_HIGH_WATERMARK {
                 break;
             }
             match self.stream.read(&mut chunk) {

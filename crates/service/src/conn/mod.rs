@@ -22,8 +22,9 @@
 //!
 //! Each connection owns a growable read buffer (bytes parsed into frames
 //! in place) and a growable write buffer (responses appended, flushed as
-//! the socket accepts them). Both are bounded by configurable
-//! high-watermarks: a connection whose *write* backlog stays past
+//! the socket accepts them). Both are bounded by high-watermarks: the
+//! plane stops reading a connection whose unparsed backlog reaches one
+//! maximum frame, and a connection whose *write* backlog stays past
 //! [`ConnConfig::write_high_watermark`] after a flush is a **slow
 //! consumer** — it is sent a best-effort
 //! [`ErrorCode::SlowConsumer`](crate::wire::ErrorCode) frame when its
@@ -41,10 +42,11 @@
 //! Requests reach the engine through its non-blocking submission path
 //! (`EngineInner::submit_slot`) with a completion registration; the shard
 //! worker finishes the request and pushes the slot onto the owning I/O
-//! thread's `Inbox`, waking its poller. Legacy (v1–v4) frames keep
-//! their strict one-in, one-out ordering: at most one is in flight per
-//! connection, with further parsing paused until it completes. v5
-//! *pipelined* frames submit concurrently up to
+//! thread's `Inbox`, waking its poller. The id-free encode framings
+//! (tags 1 and 6, under any protocol version) keep their strict
+//! one-in, one-out ordering: at most one is in flight per connection,
+//! with further parsing paused until it completes. v5 *pipelined*
+//! frames submit concurrently up to
 //! [`ConnConfig::max_in_flight`] and are matched to responses by request
 //! id, so they may complete out of order across sessions while staying
 //! FIFO within one (sticky sharding orders same-session work).
@@ -66,11 +68,6 @@ use std::thread::JoinHandle;
 pub struct ConnConfig {
     /// I/O threads multiplexing the connections. At least 1.
     pub io_threads: usize,
-    /// Unparsed bytes a connection's read buffer holds before the plane
-    /// stops reading from its socket (kernel-side backpressure). Clamped
-    /// up to one maximum frame, so any legal frame can always be
-    /// buffered whole.
-    pub read_high_watermark: usize,
     /// Unflushed bytes a connection's write buffer may hold; crossing it
     /// makes the connection a slow consumer, which is dropped with a
     /// typed [`ErrorCode::SlowConsumer`](crate::wire::ErrorCode) frame.
@@ -84,13 +81,11 @@ pub struct ConnConfig {
 
 impl Default for ConnConfig {
     /// I/O threads default to the machine's parallelism capped at 4; the
-    /// read high-watermark to one maximum frame; the write
-    /// high-watermark to 16 MiB (two maximum frames); 64 in-flight
+    /// write high-watermark to 16 MiB (two maximum frames); 64 in-flight
     /// pipelined requests per connection.
     fn default() -> Self {
         ConnConfig {
             io_threads: std::thread::available_parallelism().map_or(1, |n| n.get().min(4)),
-            read_high_watermark: crate::wire::HEADER_LEN + crate::wire::MAX_BODY_LEN,
             write_high_watermark: 16 << 20,
             max_in_flight: 64,
         }
@@ -104,7 +99,6 @@ impl ConnConfig {
     fn normalised(mut self) -> Self {
         let max_frame = crate::wire::HEADER_LEN + crate::wire::MAX_BODY_LEN;
         self.io_threads = self.io_threads.max(1);
-        self.read_high_watermark = self.read_high_watermark.max(max_frame);
         self.write_high_watermark = self.write_high_watermark.max(max_frame);
         self.max_in_flight = self.max_in_flight.max(1);
         self

@@ -115,6 +115,17 @@ const ROUND_CHAIN_LIMIT: u32 = 64;
 /// how large the individual requests in the window are.
 const ROUND_BYTE_LIMIT: usize = 1 << 20;
 
+/// Distinct (scheme × weights) plans the engine's process-wide
+/// [`PlanCache`] holds. The cache is shared by every shard, so a weight
+/// pair's cost tables are built at most once per engine no matter which
+/// shard first sees it.
+const PLAN_CACHE_CAPACITY: usize = 64;
+
+/// Entries each shard's slowlog holds: the most recent requests at or
+/// over [`ServiceConfig::slowlog_threshold_ns`], drained by
+/// [`Engine::slowlog`].
+const SLOWLOG_CAPACITY: usize = 64;
+
 /// Largest accepted lane-group count. A x64 channel is 8 groups; 64 leaves
 /// generous headroom for exotic geometries without letting a hostile frame
 /// demand gigabytes of per-session state.
@@ -137,18 +148,10 @@ pub struct ServiceConfig {
     /// with [`ServiceError::SessionLimit`] — the bound that keeps a peer
     /// cycling through fresh ids from growing worker memory without limit.
     pub max_sessions_per_shard: usize,
-    /// Distinct (scheme × weights) plans the engine's process-wide
-    /// [`PlanCache`] holds; the cache is shared by every shard, so a
-    /// weight pair's cost tables are built at most once per engine no
-    /// matter which shard first sees it. At least 1.
-    pub plan_cache_capacity: usize,
     /// Trace events each shard's always-on ring holds (the most recent N
     /// worker-handled requests); drained by [`Engine::trace_dump`]. At
     /// least 1.
     pub trace_capacity: usize,
-    /// Entries each shard's slowlog holds (the most recent N requests
-    /// over the threshold); drained by [`Engine::slowlog`]. At least 1.
-    pub slowlog_capacity: usize,
     /// Total service time (enqueue to completion) at or above which a
     /// request is captured into the slowlog, in nanoseconds. Zero
     /// captures everything.
@@ -164,17 +167,14 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     /// Shards default to the machine's parallelism capped at 4; queues
     /// hold 64 requests; payloads up to 1 MiB; 4096 sessions per shard;
-    /// 64 cached plans; 1024-event trace rings; 64-entry slowlogs at a
-    /// 1 ms threshold.
+    /// 1024-event trace rings; a 1 ms slowlog threshold.
     fn default() -> Self {
         ServiceConfig {
             shards: std::thread::available_parallelism().map_or(2, |n| n.get().min(4)),
             queue_capacity: 64,
             max_payload: 1 << 20,
             max_sessions_per_shard: 4096,
-            plan_cache_capacity: 64,
             trace_capacity: 1024,
-            slowlog_capacity: 64,
             slowlog_threshold_ns: 1_000_000,
             persist: None,
         }
@@ -676,10 +676,10 @@ impl Engine {
         let telemetry = Arc::new(TelemetryRegistry::new(
             config.shards,
             config.trace_capacity,
-            config.slowlog_capacity,
+            SLOWLOG_CAPACITY,
             config.slowlog_threshold_ns,
         ));
-        let plans = Arc::new(PlanCache::new(config.plan_cache_capacity));
+        let plans = Arc::new(PlanCache::new(PLAN_CACHE_CAPACITY));
         let hooks = Arc::new(TestHooks::default());
         let workers = queues
             .iter()
@@ -2514,6 +2514,7 @@ mod tests {
         let totals = engine.metrics().totals();
         assert_eq!(totals.sessions, 4);
         assert_eq!(totals.sessions_evicted, 2);
+        assert_eq!(totals.sessions_resident(), 2);
         assert_eq!(totals.rejected, 0);
     }
 

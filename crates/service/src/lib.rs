@@ -71,11 +71,14 @@
 //!   [`wire::ErrorCode::SlowConsumer`], counted in the metrics
 //!   `connections` block. [`TcpServer::shutdown`] deterministically
 //!   joins every I/O thread and closes every connection.
-//! * [`TcpClient`] / [`PipelinedClient`] — the client sides:
-//!   `TcpClient` is the one-at-a-time surface — encode requests without
-//!   a request id, plus the metrics, telemetry and durability admin
-//!   frames — returning results identical to [`LocalClient`];
-//!   [`TcpClient::encode_batch`] ships a whole batch per round trip.
+//! * [`TcpClient`] / [`PipelinedClient`] — the client sides of one
+//!   connection type: `TcpClient` is the one-at-a-time surface, a
+//!   blocking facade over a private `PipelinedClient` — encode requests
+//!   that wait for their answer, plus the metrics, telemetry and
+//!   durability admin frames — returning results identical to
+//!   [`LocalClient`]; [`TcpClient::encode_batch`] ships a whole batch
+//!   per round trip. It sends the pipelined framings, so it needs a v5
+//!   or later server.
 //!   `PipelinedClient` speaks v5: [`PipelinedClient::submit`] queues
 //!   the request write-behind and returns the assigned request id,
 //!   [`PipelinedClient::next_completion`] flushes the queue and blocks
@@ -84,7 +87,8 @@
 //!   per window of submissions, not one per request.
 //! * [`metrics`] — per-shard atomic counters (requests, rejects, bytes,
 //!   bursts, transitions saved, queue depth + peak, sessions created
-//!   since startup — evictions do not subtract) plus a
+//!   since startup — evictions do not subtract — and the derived
+//!   `sessions_resident`, created minus evicted) plus a
 //!   `batch` block (worker passes, coalesced requests, pass-size p50/p99,
 //!   bursts/request), a `verify` block (round trips run, mismatches
 //!   found), a `rate` block (requests/s, rejects/s over a sliding

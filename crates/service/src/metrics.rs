@@ -26,8 +26,8 @@
 //!
 //! The JSON is handwritten (no serialisation crate exists offline) with a
 //! fixed key order, so it is easy to assert on in tests and to scrape.
-//! JSON prints float metrics to a fixed number of decimals; Prometheus
-//! prints them at full precision.
+//! Both surfaces print a float metric the same way, at full precision
+//! (the shortest text that reads back as the same `f64`).
 
 use crate::telemetry::{log2_percentile, LatencyHistogram, LatencyStats, RateWindow};
 use crate::wire::SnapshotStatus;
@@ -57,13 +57,12 @@ enum Fold {
     Max,
 }
 
-/// A metric value. Its [`Display`] form is the Prometheus sample value,
-/// at full precision.
+/// A metric value. Its [`Display`] form is the Prometheus sample value
+/// and, but for a flag, the JSON value.
 #[derive(Clone, Copy)]
 enum Num {
     Int(u64),
-    /// JSON prints the float to the given number of decimals.
-    Float(f64, usize),
+    Float(f64),
     /// JSON prints `true`/`false`, Prometheus 1/0.
     Flag(bool),
 }
@@ -72,7 +71,7 @@ impl Display for Num {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             Num::Int(value) => write!(f, "{value}"),
-            Num::Float(value, _) => write!(f, "{value}"),
+            Num::Float(value) => write!(f, "{value}"),
             Num::Flag(value) => write!(f, "{}", u64::from(value)),
         }
     }
@@ -97,7 +96,7 @@ enum Source {
         fold: Fold,
     },
     /// A [`ShardMetrics`] sliding-window rate copied into a
-    /// [`ShardSnapshot`] field; totals sum it. JSON prints one decimal.
+    /// [`ShardSnapshot`] field; totals sum it.
     Rate {
         window: fn(&ShardMetrics) -> &RateWindow,
         field: Field<ShardSnapshot, f64>,
@@ -131,7 +130,7 @@ impl Source {
     fn shard_value(self, shard: &ShardSnapshot) -> Option<Num> {
         match self {
             Source::Shard { field, .. } => Some(Num::Int((field.get)(shard))),
-            Source::Rate { field, .. } => Some(Num::Float((field.get)(shard), 1)),
+            Source::Rate { field, .. } => Some(Num::Float((field.get)(shard))),
             Source::Derived(value) => Some(value(shard)),
             Source::Connection { .. } | Source::Global(_) => None,
         }
@@ -229,6 +228,9 @@ const METRICS: &[Metric] = &[
     row("", "sessions_evicted", "dbi_sessions_evicted_total", COUNTER,
         shard!(sessions_evicted, Sum),
         "Idle sessions evicted to admit fresh session ids on a full shard."),
+    row("", "sessions_resident", "dbi_sessions_resident", GAUGE,
+        Source::Derived(|s| Num::Int(s.sessions_resident())),
+        "Encode sessions held now: created minus evicted."),
     row("journal", "records", "dbi_journal_records_total", COUNTER,
         shard!(journal_records, Sum),
         "Session records appended to the shard's journal."),
@@ -256,10 +258,10 @@ const METRICS: &[Metric] = &[
         shard!(full_dispatches, Sum),
         "Dispatches that filled the selected kernel's lane width."),
     row("batch", "lane_occupancy", "dbi_batch_lane_occupancy", GAUGE,
-        Source::Derived(|s| Num::Float(s.lane_occupancy(), 1)),
+        Source::Derived(|s| Num::Float(s.lane_occupancy())),
         "Mean lane-group chains per packed kernel dispatch."),
     row("batch", "full_dispatch_fraction", "dbi_batch_full_dispatch_fraction", GAUGE,
-        Source::Derived(|s| Num::Float(s.full_dispatch_fraction(), 2)),
+        Source::Derived(|s| Num::Float(s.full_dispatch_fraction())),
         "Fraction of dispatches that filled the kernel's lane width."),
     row("batch", "size_p50", "dbi_batch_size_p50_bursts", GAUGE,
         Source::Derived(|s| Num::Int(s.batch_size_percentile(0.50))),
@@ -268,7 +270,7 @@ const METRICS: &[Metric] = &[
         Source::Derived(|s| Num::Int(s.batch_size_percentile(0.99))),
         "99th-percentile worker-pass size in bursts, from the same histogram."),
     row("batch", "bursts_per_request", "dbi_batch_bursts_per_request", GAUGE,
-        Source::Derived(|s| Num::Float(s.bursts_per_request(), 1)),
+        Source::Derived(|s| Num::Float(s.bursts_per_request())),
         "Mean bursts per executed request."),
     row("verify", "requests", "dbi_verify_requests_total", COUNTER, shard!(verified, Sum),
         "Verify-mode requests round-tripped."),
@@ -703,7 +705,8 @@ pub struct ShardSnapshot {
     /// that exposes backpressure a between-passes scrape would miss.
     pub queue_depth_peak: u64,
     /// Encode sessions created on the shard since startup; evictions do
-    /// not subtract (they count in `sessions_evicted`).
+    /// not subtract (they count in `sessions_evicted`, and
+    /// [`ShardSnapshot::sessions_resident`] subtracts them).
     pub sessions: u64,
     /// Idle sessions evicted to make room for fresh session ids once the
     /// shard hit its configured session bound.
@@ -773,6 +776,13 @@ impl ShardSnapshot {
     #[must_use]
     pub fn batch_size_percentile(&self, percentile: f64) -> u64 {
         log2_percentile(&self.batch_hist, percentile)
+    }
+
+    /// Sessions the shard holds now: created minus evicted. Exact,
+    /// because eviction is the only way a session leaves a shard.
+    #[must_use]
+    pub fn sessions_resident(&self) -> u64 {
+        self.sessions.saturating_sub(self.sessions_evicted)
     }
 
     /// Mean bursts per executed request (0 when no request has run).
@@ -850,9 +860,8 @@ fn write_json_members<'a>(out: &mut String, rows: impl Iterator<Item = (&'a Metr
         }
         let key = metric.key;
         match value {
-            Num::Float(value, decimals) => write!(out, "{comma}\"{key}\":{value:.decimals$}"),
             Num::Flag(value) => write!(out, "{comma}\"{key}\":{value}"),
-            Num::Int(_) => write!(out, "{comma}\"{key}\":{value}"),
+            Num::Int(_) | Num::Float(_) => write!(out, "{comma}\"{key}\":{value}"),
         }
         .expect(WRITE);
         comma = ",";
@@ -1162,7 +1171,7 @@ mod tests {
         assert!(json.contains("\"requests\":1"));
         assert!(json.contains("\"transitions_saved\":2"));
         assert!(json.contains("\"batch\":{\"passes\":0,\"coalesced\":0"));
-        assert!(json.contains("\"bursts_per_request\":1.0"));
+        assert!(json.contains("\"bursts_per_request\":1}"));
         assert!(json.contains("\"verify\":{\"requests\":0,\"failures\":0}"));
         assert!(json.contains("\"queue_depth_peak\":0"));
         assert!(json.contains("\"rate\":{\"requests_per_s\":"));
@@ -1277,14 +1286,14 @@ mod tests {
             "{{\"requests\":3,\"rejected\":1,\"bytes\":96,\"bursts\":6,\
              \"transitions_saved\":12,\"queue_depth\":1,\
              \"queue_depth_peak\":4,\"sessions\":2,\
-             \"sessions_evicted\":1,\
+             \"sessions_evicted\":1,\"sessions_resident\":1,\
              \"journal\":{{\"records\":5,\"bytes\":240}},\
              \"rate\":{{\"requests_per_s\":2.5,\"rejects_per_s\":0.5,\
              \"window_s\":8}},\
              \"batch\":{{\"passes\":2,\"coalesced\":1,\"dispatches\":2,\
              \"dispatch_chains\":7,\"full_dispatches\":1,\
-             \"lane_occupancy\":3.5,\"full_dispatch_fraction\":0.50,\
-             \"size_p50\":3,\"size_p99\":4,\"bursts_per_request\":2.0}},\
+             \"lane_occupancy\":3.5,\"full_dispatch_fraction\":0.5,\
+             \"size_p50\":3,\"size_p99\":4,\"bursts_per_request\":2}},\
              \"verify\":{{\"requests\":1,\"failures\":0}},\
              \"latency\":{{\"queue_wait\":{empty_stage},\
              \"encode\":{empty_stage},\"verify\":{empty_stage},\
@@ -1380,8 +1389,9 @@ mod tests {
 
     #[test]
     fn prometheus_float_gauges_print_at_full_precision() {
-        // One full dispatch out of 4, then out of 20.
-        for (dispatches, fraction) in [(4, "0.25"), (20, "0.05")] {
+        // One full dispatch out of 4, 20 and 300.
+        let inputs = [(4, "0.25"), (20, "0.05"), (300, "0.0033333333333333335")];
+        for (dispatches, fraction) in inputs {
             let snapshot = MetricsSnapshot {
                 per_shard: vec![ShardSnapshot {
                     dispatches,
@@ -1399,7 +1409,7 @@ mod tests {
                 "{text}"
             );
             assert!(text.contains("dbi_batch_lane_occupancy{shard=\"0\"} 3\n"));
-            // JSON keeps its fixed two decimals for the fraction.
+            // JSON prints the same text.
             assert!(snapshot
                 .to_json()
                 .contains(&format!("\"full_dispatch_fraction\":{fraction}")));
@@ -1529,7 +1539,7 @@ mod tests {
         let json = snapshot.to_json();
         let totals_json = &json[json.find("\"totals\":").unwrap()..];
         assert!(totals_json.contains("\"requests\":10,"));
-        assert!(totals_json.contains("\"lane_occupancy\":2.0,"));
+        assert!(totals_json.contains("\"lane_occupancy\":2,"));
     }
 
     #[test]

@@ -11,15 +11,24 @@
 //! * and the interleaved pipelined results are **bit-identical** to a
 //!   serial [`BusSession`] run, because each session's carried bus state
 //!   evolves exactly as in a single-threaded encode.
+//!
+//! The id-free framings (tags 1 and 6, and the v1 layout), which no
+//! client in the crate sends, are driven over a raw socket: they keep
+//! their one-in, one-out order on the same connection plane.
 
 use dbi_core::{InversionMask, Scheme};
 use dbi_mem::BusSession;
-use dbi_service::wire::{ErrorCode, HEADER_LEN, MAX_BODY_LEN, RESPONSE_HEAD_LEN};
+use dbi_service::wire::{
+    decode_frame, parse_header, ErrorCode, Frame, COST_MODEL_WIRE_BYTES, HEADER_LEN,
+    LEGACY_VERSION, MAX_BODY_LEN, RESPONSE_HEAD_LEN, V1_REQUEST_HEAD_LEN,
+};
 use dbi_service::{
     ClientError, ConnConfig, CostModel, EncodeBatchRequest, EncodeReply, EncodeRequest, Engine,
     PipelinedClient, ServiceConfig, TcpClient, TcpServer, VerifyMode, MAX_GROUPS,
 };
 use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 const GROUPS: u16 = 4;
@@ -450,7 +459,6 @@ fn a_reading_client_with_a_full_window_of_large_replies_is_never_dropped() {
             io_threads: 1,
             write_high_watermark: 0,
             max_in_flight: WINDOW,
-            ..ConnConfig::default()
         },
     )
     .unwrap();
@@ -589,6 +597,115 @@ fn flush_delivers_a_corked_window_in_at_most_two_reads() {
     for _ in 0..REQUESTS {
         assert!(client.next_completion(&mut reply).unwrap().is_ok());
     }
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// Reads one whole frame off a raw socket into `buf`.
+fn read_raw_frame(socket: &mut TcpStream, buf: &mut Vec<u8>) {
+    buf.resize(HEADER_LEN, 0);
+    socket.read_exact(buf).unwrap();
+    let header = parse_header(buf).unwrap();
+    buf.resize(HEADER_LEN + header.body_len, 0);
+    socket.read_exact(&mut buf[HEADER_LEN..]).unwrap();
+}
+
+/// Reads one id-free encode response off `socket`: it must echo
+/// `session_id` and `count`. Returns its masks.
+fn id_free_masks(
+    socket: &mut TcpStream,
+    buf: &mut Vec<u8>,
+    session_id: u64,
+    count: Option<u16>,
+) -> Vec<InversionMask> {
+    read_raw_frame(socket, buf);
+    match decode_frame(buf).unwrap().0 {
+        Frame::EncodeResponse {
+            request_id: None,
+            response,
+        } => {
+            assert_eq!((response.session_id, response.count), (session_id, count));
+            response.masks().collect()
+        }
+        other => panic!("expected an id-free response for session {session_id}: {other:?}"),
+    }
+}
+
+/// The id-free encode framings — tag 1, tag 6 and the hand-built v1
+/// layout — over a raw socket: each reply carries no request id, echoes
+/// its framing's count and matches the serial reference; a request with
+/// bad geometry gets an id-free error frame and the connection keeps
+/// serving; and two id-free requests written at once are answered in
+/// request order, even when the second one's shard finishes first.
+#[test]
+fn id_free_framings_answer_one_in_one_out_over_a_raw_socket() {
+    let engine = Engine::start(ServiceConfig {
+        shards: 2,
+        ..ServiceConfig::default()
+    });
+    let server = TcpServer::bind(&engine, "127.0.0.1:0").unwrap();
+    let mut socket = TcpStream::connect(server.addr()).unwrap();
+    let (mut out, mut buf) = (Vec::new(), Vec::new());
+
+    // One session's stream in three id-free framings.
+    let data = pseudo_random(ACCESS_BYTES * 3, 0x1D1E);
+    let chunk = |index: usize| request(7, &data[index * ACCESS_BYTES..][..ACCESS_BYTES]);
+    let mut masks = Vec::new();
+    chunk(0).encode_framed_into(&mut out, None, None);
+    let batch = EncodeBatchRequest::from_request(&chunk(1)).unwrap();
+    batch
+        .request
+        .encode_framed_into(&mut out, None, Some(batch.count));
+    // The v1 layout: a plain inline-cost frame without its cost-model
+    // field (after the session id, scheme tag and weights), under a
+    // version-1 header.
+    let v1_at = out.len();
+    chunk(2).encode_framed_into(&mut out, None, None);
+    out[v1_at + 2] = LEGACY_VERSION;
+    let cost_model_at = v1_at + HEADER_LEN + 8 + 1 + 8;
+    out.drain(cost_model_at..cost_model_at + COST_MODEL_WIRE_BYTES);
+    let v1_body = (V1_REQUEST_HEAD_LEN + ACCESS_BYTES) as u32;
+    out[v1_at + 4..v1_at + 8].copy_from_slice(&v1_body.to_le_bytes());
+    socket.write_all(&out).unwrap();
+    masks.extend(id_free_masks(&mut socket, &mut buf, 7, None));
+    masks.extend(id_free_masks(&mut socket, &mut buf, 7, Some(batch.count)));
+    masks.extend(id_free_masks(&mut socket, &mut buf, 7, None));
+    assert_eq!(masks, reference_masks(&data));
+
+    // Bad geometry: an id-free error frame, and the connection stays.
+    out.clear();
+    EncodeRequest {
+        groups: 0,
+        ..chunk(0)
+    }
+    .encode_framed_into(&mut out, None, None);
+    socket.write_all(&out).unwrap();
+    read_raw_frame(&mut socket, &mut buf);
+    match decode_frame(&buf).unwrap().0 {
+        Frame::Error {
+            request_id: None,
+            error,
+        } => assert_eq!(error.code, ErrorCode::BadGeometry),
+        other => panic!("expected an id-free error frame: {other:?}"),
+    }
+
+    // A slowed session on shard 0, then a session on shard 1, in one
+    // write: the connection answers them in request order.
+    let on_shard = |shard| (100..).find(|&id| engine.shard_of(id) == shard).unwrap();
+    let (slow, fast) = (on_shard(0), on_shard(1));
+    engine.inject_slowdown_for_tests(slow, Duration::from_millis(50));
+    let payload = pseudo_random(ACCESS_BYTES, 0x0DE5);
+    out.clear();
+    request(slow, &payload).encode_framed_into(&mut out, None, None);
+    request(fast, &payload).encode_framed_into(&mut out, None, None);
+    socket.write_all(&out).unwrap();
+    for session_id in [slow, fast] {
+        let masks = id_free_masks(&mut socket, &mut buf, session_id, None);
+        assert_eq!(masks, reference_masks(&payload));
+    }
+    engine.inject_slowdown_for_tests(slow, Duration::ZERO);
+
+    drop(socket);
     server.shutdown();
     engine.shutdown();
 }

@@ -3,7 +3,9 @@
 //! allocate nothing — across the server's I/O thread (reads, frame
 //! parsing, submission, the completion drain, reply framing, the
 //! deferred flush, counter publication), the shard workers, and
-//! [`PipelinedClient`] itself.
+//! [`PipelinedClient`] itself. Warm blocking [`TcpClient`] calls on a
+//! second connection, the facade over the same client, run in the same
+//! counted window.
 //!
 //! Same counting allocator as `local_alloc.rs`; the allocator is global,
 //! so the measured window covers every thread of the process. Single
@@ -24,7 +26,7 @@ use std::time::Duration;
 use dbi_core::Scheme;
 use dbi_service::{
     ConnConfig, CostModel, EncodeReply, EncodeRequest, Engine, PipelinedClient, ServiceConfig,
-    TcpServer, VerifyMode,
+    TcpClient, TcpServer, VerifyMode,
 };
 
 struct CountingAllocator;
@@ -152,20 +154,43 @@ fn warm_pipelined_requests_are_allocation_free() {
         served
     };
 
+    // The blocking client: one request at a time on its own connection.
+    let mut blocking = TcpClient::connect(server.addr()).unwrap();
+    let mut blocking_reply = EncodeReply::new();
+    let mut run_blocking = |calls: u64| {
+        for index in 0..calls {
+            let request = EncodeRequest {
+                session_id: index % SESSIONS,
+                scheme: Scheme::OptFixed,
+                cost_model: CostModel::Inline,
+                groups: GROUPS,
+                burst_len: 8,
+                want_masks: true,
+                verify: VerifyMode::Off,
+                payload: &payload,
+            };
+            blocking.encode(&request, &mut blocking_reply).unwrap();
+        }
+    };
+
     // Warm-up: the measured sessions exist and their first rounds ran.
     run_rounds(16);
+    run_blocking(16);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let served = run_rounds(256);
+    run_blocking(256);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
         allocations, 0,
-        "{served} warm pipelined requests allocated {allocations} times"
+        "{served} warm pipelined and 256 blocking requests allocated {allocations} times"
     );
     assert_eq!(served, (256 * WINDOW) as u64);
     assert_eq!(reply.masks.len(), 32);
+    assert_eq!(blocking_reply.masks.len(), 32);
 
     drop(client);
+    drop(blocking);
     server.shutdown();
     engine.shutdown();
 }
